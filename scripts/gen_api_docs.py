@@ -56,12 +56,20 @@ def _kind_of(obj: object) -> str:
     return "constant"
 
 
+def _public_signature(obj: object) -> inspect.Signature:
+    """``obj``'s signature without its private (underscore) parameters."""
+    signature = inspect.signature(obj)
+    return signature.replace(
+        parameters=[p for p in signature.parameters.values() if not p.name.startswith("_")]
+    )
+
+
 def _signature_of(name: str, obj: object) -> str:
     try:
         if inspect.isclass(obj):
-            return f"{name}{inspect.signature(obj)}"
+            return f"{name}{_public_signature(obj)}"
         if callable(obj):
-            return f"{name}{inspect.signature(obj)}"
+            return f"{name}{_public_signature(obj)}"
     except (TypeError, ValueError):
         pass
     return name
@@ -104,7 +112,7 @@ def _public_methods(cls: type) -> List[str]:
             continue
         summary = _summary_of(member)
         try:
-            signature = str(inspect.signature(member))
+            signature = str(_public_signature(member))
         except (TypeError, ValueError):
             signature = "(...)"
         lines.append(

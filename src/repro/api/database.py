@@ -35,13 +35,14 @@ from ..cluster.controller import SimulatedCluster
 from ..cluster.dataset import SecondaryIndexSpec
 from ..cluster.reports import ClusterRebalanceReport, QueryReport
 from ..common.config import ClusterConfig
-from ..common.errors import ClusterError, ConfigError, FaultInjected
+from ..common.errors import ClusterError, ConfigError, FaultInjected, UnknownDatasetError
 from ..common.events import Event, EventBus, Subscription
 from ..metrics import MetricsRegistry
 from ..query.executor import ClusterQueryExecutor, QuerySpec
 from ..control.autopilot import Autopilot
 from ..rebalance.operation import FaultInjector
 from ..rebalance.recovery import RebalanceRecoveryManager, RecoveryOutcome
+from ..sim import drain
 from .dataset import Dataset
 from .registry import resolve_strategy
 
@@ -242,8 +243,10 @@ class Database:
 
         Exactly one of ``target_nodes``, ``add``, ``remove`` selects the new
         size.  ``concurrent_rows`` maps dataset name -> rows ingested while
-        the rebalance's data movement is in flight (Figure 7c).
-        ``fault_sites`` injects protocol failures (see
+        the rebalance's data movement is in flight (Figure 7c); naming a
+        dataset that does not exist raises
+        :class:`~repro.common.errors.UnknownDatasetError` before anything
+        changes.  ``fault_sites`` injects protocol failures (see
         :data:`repro.rebalance.operation.FAULT_SITES`); the raised
         :class:`~repro.common.errors.FaultInjected` models the crash, after
         which :meth:`recover` drives the Section V-D recovery cases.  Fault
@@ -257,25 +260,11 @@ class Database:
         out (the autopilot uses it so scheduled crashes target explicit
         rebalances, not policy-triggered ones).
         """
-        self._check_open()
-        chosen = [value for value in (target_nodes, add, remove) if value is not None]
-        if len(chosen) != 1:
-            raise ConfigError("pass exactly one of target_nodes=, add=, remove=")
-        if target_nodes is None:
-            target_nodes = self.num_nodes + (add or 0) - (remove or 0)
-        sites = list(fault_sites) if fault_sites else []
-        chaos = self._cluster.chaos
-        if chaos is not None and arm_chaos:
-            sites.extend(chaos.due_crash_sites())
-        injector = FaultInjector(sites) if sites else None
-        try:
-            return self._cluster.rebalance_to(
-                target_nodes, concurrent_rows=concurrent_rows, fault_injector=injector
-            )
-        except FaultInjected as fault:
-            if chaos is not None:
-                chaos.on_fault(fault.site)
-            raise
+        steps = self.rebalance_steps(
+            target_nodes, add=add, remove=remove, concurrent_rows=concurrent_rows,
+            fault_sites=fault_sites, arm_chaos=arm_chaos, _per_move=False,
+        )
+        return drain(steps)
 
     def rebalance_steps(
         self,
@@ -286,15 +275,15 @@ class Database:
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_sites: Optional[Iterable[str]] = None,
         arm_chaos: bool = True,
+        _per_move: bool = True,
     ) -> "Generator[Any, None, ClusterRebalanceReport]":
-        """Generator twin of :meth:`rebalance` for the event scheduler.
+        """The generator form of :meth:`rebalance`, for the event scheduler.
 
-        Resolves its target size, chaos crash sites, and fault injector with
-        exactly the same logic as :meth:`rebalance`, then yields every
-        :class:`~repro.sim.SimSegment` of the protocol so an
+        Takes the same arguments and yields every
+        :class:`~repro.sim.SimSegment` of the protocol, so an
         :class:`~repro.sim.EventScheduler` actor can interleave foreground
         traffic inside the movement windows.  The generator's return value is
-        the same :class:`~repro.cluster.reports.ClusterRebalanceReport`.
+        the :class:`~repro.cluster.reports.ClusterRebalanceReport`.
         """
         self._check_open()
         chosen = [value for value in (target_nodes, add, remove) if value is not None]
@@ -302,20 +291,30 @@ class Database:
             raise ConfigError("pass exactly one of target_nodes=, add=, remove=")
         if target_nodes is None:
             target_nodes = self.num_nodes + (add or 0) - (remove or 0)
+        unknown = sorted(set(concurrent_rows or ()) - set(self._cluster.dataset_names()))
+        if unknown:
+            raise UnknownDatasetError(
+                f"concurrent_rows names unknown dataset(s) {unknown}; "
+                f"existing datasets: {self._cluster.dataset_names()}"
+            )
         sites = list(fault_sites) if fault_sites else []
         chaos = self._cluster.chaos
         if chaos is not None and arm_chaos:
             sites.extend(chaos.due_crash_sites())
         injector = FaultInjector(sites) if sites else None
         try:
-            report = yield from self._cluster.rebalance_to_steps(
-                target_nodes, concurrent_rows=concurrent_rows, fault_injector=injector
+            return (
+                yield from self._cluster.rebalance_to_steps(
+                    target_nodes,
+                    concurrent_rows=concurrent_rows,
+                    fault_injector=injector,
+                    _per_move=_per_move,
+                )
             )
         except FaultInjected as fault:
             if chaos is not None:
                 chaos.on_fault(fault.site)
             raise
-        return report
 
     def add_nodes(self, count: int = 1) -> ClusterRebalanceReport:
         return self.rebalance(add=count)

@@ -40,7 +40,8 @@ def resolve_strategy(
     ``None`` passes through (the cluster then defaults to DynaHash-style
     directory routing and requires a strategy before any resize).  A string is
     looked up in the registry, forwarding ``kwargs`` to the factory.  Anything
-    else must already look like a strategy (have ``rebalance_cluster``).
+    else must already look like a strategy (have ``rebalance_cluster_steps``,
+    the one method a resize calls).
     """
     if strategy is None:
         if kwargs:
@@ -50,9 +51,9 @@ def resolve_strategy(
         return strategy_by_name(strategy, **kwargs)
     if kwargs:
         raise ConfigError("strategy options are only valid with a strategy name")
-    if not hasattr(strategy, "rebalance_cluster"):
+    if not hasattr(strategy, "rebalance_cluster_steps"):
         raise ConfigError(
-            f"{strategy!r} is not a rebalancing strategy (missing rebalance_cluster); "
+            f"{strategy!r} is not a rebalancing strategy (missing rebalance_cluster_steps); "
             f"pass an instance or one of: {', '.join(available_strategies())}"
         )
     return strategy

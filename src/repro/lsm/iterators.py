@@ -10,7 +10,7 @@ bucketed LSM-tree's merge-sorted scan mode and by merges themselves.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .entry import Entry
 
@@ -24,6 +24,7 @@ def _sort_key(key: Any) -> Tuple:
 def merge_scan(
     sources: Sequence[Iterable[Entry]],
     include_tombstones: bool = False,
+    hidden: Optional[Callable[[int, Entry], bool]] = None,
 ) -> Iterator[Entry]:
     """Merge already-sorted entry streams, reconciling duplicate keys.
 
@@ -36,6 +37,11 @@ def merge_scan(
     Tombstoned keys are suppressed unless ``include_tombstones`` is set (a
     merge that is *not* merging the oldest component must keep tombstones so
     they continue to shadow older components).
+
+    ``hidden(source_index, entry)``, when given, is asked about each key's
+    versions newest first until it returns false; the versions it hides are
+    skipped as if absent, so an older version of the key can win (the LSM
+    tree's lazy-cleanup filter).
     """
     iterators = [iter(source) for source in sources]
     heap: List[Tuple[Tuple, int, int, Entry]] = []
@@ -65,6 +71,8 @@ def merge_scan(
             last_key = key
             emitted_for_key = False
         if emitted_for_key:
+            continue
+        if hidden is not None and hidden(priority, entry):
             continue
         emitted_for_key = True
         if entry.tombstone and not include_tombstones:

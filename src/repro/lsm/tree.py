@@ -18,7 +18,9 @@ The tree supports the features the rebalance implementation needs:
 * *received component lists* that stay invisible to queries until the
   rebalance commits (Section V-B), and
 * *lazy cleanup filters* that make queries ignore entries of moved buckets in
-  secondary indexes until the next merge rewrites them (Section V-C).
+  secondary indexes until the next merge rewrites them (Section V-C).  A
+  filter covers only the components live when it was issued, so a bucket
+  that later moves back is visible again.
 """
 
 from __future__ import annotations
@@ -40,6 +42,28 @@ _received_list_ids = itertools.count(1)
 
 #: Union type of everything that can sit in a component list.
 AnyDiskComponent = Any  # DiskComponent | ReferenceDiskComponent
+
+
+def _counting_newest(
+    hidden: Callable[[int, Entry], bool], include_tombstones: bool, scanned: List[int]
+) -> Callable[[int, Entry], bool]:
+    """Wrap a scan's cleanup filter so that a key whose newest version is
+    hidden still counts once in ``scanned`` ([records, bytes]): the scan
+    reads that version before the filter drops it."""
+    newest: List[Any] = [object()]
+
+    def counting(index: int, entry: Entry) -> bool:
+        # merge_scan asks about a key's versions newest first.
+        first = entry.key != newest[0]
+        newest[0] = entry.key
+        if not hidden(index, entry):
+            return False
+        if first and (include_tombstones or not entry.tombstone):
+            scanned[0] += 1
+            scanned[1] += entry.size_bytes
+        return True
+
+    return counting
 
 
 class LSMTree:
@@ -69,9 +93,11 @@ class LSMTree:
         #: Received component lists from an in-flight rebalance, keyed by list
         #: id; invisible to queries until :meth:`install_received_list`.
         self._received_lists: Dict[int, List[AnyDiskComponent]] = {}
-        #: Lazy-cleanup filters: entries whose routing key hashes into one of
-        #: these (prefix, depth) buckets are ignored by reads.
-        self._invalid_buckets: Set[Tuple[int, int]] = set()
+        #: Lazy-cleanup filters: bucket (prefix, depth) -> id of every
+        #: component live when it was invalidated -> newest seqnum it hides
+        #: (``None``: all).  Reads skip those components' entries whose
+        #: routing key hashes into the bucket; merges drop them.
+        self._invalid_buckets: Dict[Tuple[int, int], Dict[int, Optional[int]]] = {}
         self.stats = StorageStats()
         self.manifest = Manifest(name)
         self._seqnum = 0
@@ -136,6 +162,9 @@ class LSMTree:
         old_memory = self.memory
         self.memory = MemoryComponent()
         old_memory.deactivate()
+        for scope in self._invalid_buckets.values():
+            if old_memory.component_id in scope:
+                scope[component.component_id] = scope.pop(old_memory.component_id)
         self.disk_components.insert(0, component)
         self.stats.flush_count += 1
         self.stats.bytes_flushed += component.size_bytes
@@ -195,18 +224,22 @@ class LSMTree:
         self.disk_components[start:end] = [new_component]
         for victim in victims:
             victim.deactivate()
-        # A merge that rewrote every component purges lazy-cleanup filters:
-        # the invalidated entries were dropped while rewriting.
-        if includes_oldest and start == 0:
-            self._invalid_buckets.clear()
+        # The merge dropped the invalidated entries of its victims; a filter
+        # whose components are all rewritten is done.
+        for bucket, scope in list(self._invalid_buckets.items()):
+            for victim in victims:
+                scope.pop(victim.component_id, None)
+            if not scope:
+                del self._invalid_buckets[bucket]
         self._update_manifest()
         return new_component
 
     def _component_entries_for_merge(self, component: AnyDiskComponent) -> List[Entry]:
         """Entries a merge reads from ``component``, applying cleanup filters."""
         entries = component.entries()
-        if self._invalid_buckets:
-            entries = [e for e in entries if not self._is_invalidated(e.key)]
+        hidden = self._cleanup_filter([component])
+        if hidden is not None:
+            entries = [e for e in entries if not hidden(0, e)]
         return entries
 
     def _merge_read_bytes(self, component: AnyDiskComponent) -> int:
@@ -224,15 +257,39 @@ class LSMTree:
     def _visible_components(self) -> List[AnyDiskComponent]:
         return list(self.disk_components)
 
-    def _is_invalidated(self, entry_key: Any) -> bool:
+    def _cleanup_filter(self, sources: Sequence[Any]) -> Optional[Callable[[int, Entry], bool]]:
+        """The lazy-cleanup filter for entries read from ``sources``.
+
+        Returns ``hidden(index, entry)``, true when ``entry`` (read from
+        ``sources[index]``) belongs to a bucket invalidated while that source
+        was live, or ``None`` when no source is covered by any filter.
+        """
         if not self._invalid_buckets:
+            return None
+        rules = [
+            [
+                (prefix, depth, scope[source.component_id])
+                for (prefix, depth), scope in self._invalid_buckets.items()
+                if source.component_id in scope
+            ]
+            for source in sources
+        ]
+        if not any(rules):
+            return None
+        extract = self.routing_key_extractor
+
+        def hidden(index: int, entry: Entry) -> bool:
+            source_rules = rules[index]
+            if source_rules:
+                hashed = hash_key(extract(entry.key))
+                for prefix, depth, bound in source_rules:
+                    if low_bits(hashed, depth) == prefix and (
+                        bound is None or entry.seqnum <= bound
+                    ):
+                        return True
             return False
-        routing_key = self.routing_key_extractor(entry_key)
-        hashed = hash_key(routing_key)
-        for prefix, depth in self._invalid_buckets:
-            if low_bits(hashed, depth) == prefix:
-                return True
-        return False
+
+        return hidden
 
     def get(self, key: Any) -> Optional[Any]:
         """Point lookup: newest-to-oldest search, Bloom-filter skipping.
@@ -246,8 +303,17 @@ class LSMTree:
 
     def get_entry(self, key: Any) -> Optional[Entry]:
         """Like :meth:`get` but returns the raw entry (tombstones included)."""
-        if self._is_invalidated(key):
-            return None
+        if self._invalid_buckets:
+            sources = [self.memory, *self._visible_components()]
+            hidden = self._cleanup_filter(sources)
+            if hidden is not None:
+                # The newest version no filter hides.
+                for index, source in enumerate(sources):
+                    entry = source.get(key)
+                    if entry is not None and not hidden(index, entry):
+                        self.stats.records_read += 1
+                        return entry
+                return None
         mem_entry = self.memory.get(key)
         if mem_entry is not None:
             self.stats.records_read += 1
@@ -275,27 +341,31 @@ class LSMTree:
         include_tombstones: bool = False,
     ) -> Iterator[Entry]:
         """Range scan with priority-queue reconciliation across components."""
+        memory = self.memory
         components = self._visible_components()
         for component in components:
             component.retain()
         try:
-            sources: List[Iterable[Entry]] = [self.memory.scan(low, high)]
+            sources: List[Iterable[Entry]] = [memory.scan(low, high)]
             sources.extend(component.scan(low, high) for component in components)
+            # Physically-read bytes count the lazily-cleaned entries too:
+            # obsolete entries of moved buckets still cost I/O until a merge
+            # drops them (that is the "overhead" of lazy secondary-index
+            # cleanup measured in Figure 8), so a key whose newest version is
+            # hidden still counts as read.
+            hidden_read = [0, 0]
+            hidden = self._cleanup_filter([memory, *components])
+            if hidden is not None:
+                hidden = _counting_newest(hidden, include_tombstones, hidden_read)
             scanned_bytes = 0
             scanned_records = 0
             self.stats.components_opened += len(components)
-            for entry in merge_scan(sources, include_tombstones=include_tombstones):
-                # Physically-read bytes are counted before the lazy-cleanup
-                # filter: obsolete entries of moved buckets still cost I/O
-                # until a merge drops them (that is the "overhead" of lazy
-                # secondary-index cleanup measured in Figure 8).
+            for entry in merge_scan(sources, include_tombstones=include_tombstones, hidden=hidden):
                 scanned_records += 1
                 scanned_bytes += entry.size_bytes
-                if self._is_invalidated(entry.key):
-                    continue
                 yield entry
-            self.stats.records_read += scanned_records
-            self.stats.bytes_read += scanned_bytes
+            self.stats.records_read += scanned_records + hidden_read[0]
+            self.stats.bytes_read += scanned_bytes + hidden_read[1]
         finally:
             for component in components:
                 component.release()
@@ -411,13 +481,20 @@ class LSMTree:
             self.drop_received_list(list_id)
 
     def invalidate_bucket(self, hash_prefix: int, depth: int) -> None:
-        """Lazy cleanup: hide all entries whose routing key falls in a bucket.
+        """Lazy cleanup: hide the bucket's entries in every live component.
 
-        Used by secondary indexes after a bucket moves away; the physical
-        entries are dropped by the next full merge.
+        Used by secondary indexes after a bucket moves away; merges drop the
+        hidden entries physically.  Components installed or flushed later
+        (say, when the bucket moves back) are not covered.
         """
-        self._invalid_buckets.add((low_bits(hash_prefix, depth), depth))
-        self.manifest.invalidate_bucket(low_bits(hash_prefix, depth), depth)
+        bucket = (low_bits(hash_prefix, depth), depth)
+        scope = self._invalid_buckets.setdefault(bucket, {})
+        for component in self.disk_components:
+            scope[component.component_id] = None
+        if not self.memory.is_empty:
+            # Writes that reach the memory component later are not stale.
+            scope[self.memory.component_id] = self._seqnum
+        self.manifest.invalidate_bucket(*bucket)
 
     @property
     def invalidated_buckets(self) -> Set[Tuple[int, int]]:

@@ -9,13 +9,15 @@ destination from the shipped records — the source never reads its secondary
 indexes.
 
 The module also accounts the physical work so the operation can convert it
-into per-node simulated time.
+into per-node simulated time: :class:`MovementWork` holds the phase totals
+and each move returns its own :class:`MoveWork` delta (see
+:mod:`repro.rebalance.pricing`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from ..cluster.partition import StoragePartition
 from ..lsm.entry import Entry
@@ -23,6 +25,19 @@ from .plan import BucketMove
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime
+
+
+@dataclass(frozen=True)
+class MoveWork:
+    """Physical work of one bucket move: what a pricer charges for it."""
+
+    #: ``None`` for a bucket with no current home (nothing is scanned).
+    source_node: Optional[str]
+    destination_node: str
+    scanned_bytes: int = 0
+    #: Bytes shipped (when the nodes differ) and loaded at the destination.
+    payload_bytes: int = 0
+    records: int = 0
 
 
 @dataclass
@@ -84,15 +99,16 @@ class DataMover:
     def partition(self, partition_id: int) -> StoragePartition:
         return self.runtime.partitions[partition_id]
 
-    def move_bucket(self, move: BucketMove) -> int:
-        """Move one bucket's snapshot; returns the number of records moved."""
+    def move_bucket(self, move: BucketMove) -> MoveWork:
+        """Move one bucket's snapshot; returns the work this move did."""
         destination = self.partition(move.destination_partition)
+        destination_node = self.partition_nodes[move.destination_partition]
         if move.source_partition is None:
             # A bucket with no current home (can only happen if a partition
             # disappeared without a clean decommission); nothing to scan.
             destination.receive_bucket(move.bucket, [])
             self.work.buckets_moved += 1
-            return 0
+            return MoveWork(None, destination_node)
         source = self.partition(move.source_partition)
         snapshot = source.snapshot_bucket(move.bucket)
         self._snapshots.append(snapshot)
@@ -105,7 +121,6 @@ class DataMover:
         destination.receive_bucket(move.bucket, entries)
 
         source_node = self.partition_nodes[move.source_partition]
-        destination_node = self.partition_nodes[move.destination_partition]
         self.work.add_scan(move.source_partition, scanned_bytes)
         self.work.add_shipment(source_node, destination_node, payload_bytes)
         # The destination writes the primary bucket plus rebuilt secondary
@@ -117,10 +132,4 @@ class DataMover:
 
         source.release_bucket_snapshot(snapshot)
         self._snapshots.remove(snapshot)
-        return len(entries)
-
-    def move_all(self, moves: List[BucketMove]) -> MovementWork:
-        """Move every bucket in the plan (the paper moves them together)."""
-        for move in moves:
-            self.move_bucket(move)
-        return self.work
+        return MoveWork(source_node, destination_node, scanned_bytes, payload_bytes, len(entries))

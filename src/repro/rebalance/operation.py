@@ -44,10 +44,11 @@ from ..hashing.extendible import GlobalDirectory
 from ..lsm.entry import estimate_value_size
 from ..lsm.wal import LogRecordType
 from ..cluster.reports import RebalanceReport
-from ..sim import SimSegment
+from ..sim import SimSegment, drain
 from .concurrency import LogReplicator
 from .movement import DataMover
 from .plan import RebalancePlan, compute_balanced_directory
+from .pricing import MovePricing, PhasePricing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.controller import DatasetRuntime, SimulatedCluster
@@ -181,9 +182,6 @@ class RebalanceOperation:
             nodes[pid] = self.cluster.node_of_partition(pid).node_id
         return nodes
 
-    def _nodes_of(self, partition_ids: Iterable[int]) -> List[str]:
-        return sorted({self._partition_nodes()[pid] for pid in partition_ids})
-
     def _target_node_count(self) -> int:
         return len({self._partition_nodes()[pid] for pid in self.target_partitions})
 
@@ -195,6 +193,21 @@ class RebalanceOperation:
         Raises :class:`FaultInjected` when an injected fault models a crash
         that the running operation cannot resolve (the recovery manager must
         then be invoked, exactly like a restarted CC/NC would).
+        """
+        return drain(self.run_steps(concurrent, _per_move=False))
+
+    def run_steps(
+        self, concurrent: Optional[ConcurrentWriteLoad] = None, *, _per_move: bool = True
+    ) -> Generator[SimSegment, None, RebalanceReport]:
+        """The protocol as :class:`~repro.sim.SimSegment` slices of work.
+
+        Yields initialization, one segment per bucket move, the segment that
+        closes data movement, and finalization; state mutates *between*
+        yields, so a scheduler can interleave other actors inside the
+        movement window while the sources still serve the old directory.
+        Returns the report, whose ``simulated_seconds`` is the segments' sum.
+        :meth:`run` drains it with movement priced once per phase instead of
+        once per move (:mod:`repro.rebalance.pricing`).
         """
         report = RebalanceReport(
             strategy=self.strategy_name,
@@ -208,10 +221,15 @@ class RebalanceOperation:
         try:
             init_seconds = self._initialization_phase(report)
             self._emit("rebalance.phase", phase="initialization", seconds=init_seconds)
-            move_seconds = self._data_movement_phase(report, concurrent)
+            yield SimSegment("initialization", init_seconds)
+            move_seconds = 0.0
+            for segment in self._data_movement_segments(report, concurrent, _per_move):
+                move_seconds += segment.seconds
+                yield segment
             self._emit("rebalance.phase", phase="data_movement", seconds=move_seconds)
             final_seconds = self._finalization_phase(report)
             self._emit("rebalance.phase", phase="finalization", seconds=final_seconds)
+            yield SimSegment("finalization", final_seconds)
         except RebalanceAborted as aborted:
             abort_seconds = self._abort(str(aborted))
             report.abort_reason = str(aborted)
@@ -291,15 +309,15 @@ class RebalanceOperation:
 
     # -- data movement -------------------------------------------------------
 
-    def _data_movement_phase(
-        self, report: RebalanceReport, concurrent: Optional[ConcurrentWriteLoad]
-    ) -> float:
+    def _data_movement_segments(
+        self, report: RebalanceReport, concurrent: Optional[ConcurrentWriteLoad], per_move: bool
+    ) -> Generator[SimSegment, None, None]:
+        """Data movement, one ``"move"`` segment per bucket plus a closing one."""
         assert self.plan is not None
-        cost = self.cluster.cost
         partition_nodes = self._partition_nodes()
         mover = DataMover(self.runtime, partition_nodes)
         replicator = LogReplicator(self.runtime, self.plan, partition_nodes)
-        self._replicator = replicator
+        pricing = (MovePricing if per_move else PhasePricing)(self.cluster, partition_nodes)
 
         moves = list(self.plan.moves)
         # Open the log-replication channel for every moving bucket before any
@@ -314,81 +332,43 @@ class RebalanceOperation:
             max(1, len(concurrent_rows) // max(1, len(moves))) if concurrent_rows else 0
         )
 
-        def concurrent_write(row: Mapping[str, Any]) -> None:
-            self._concurrent_write(replicator, row)
-
         # Per-move tracing feed: probed once per phase, so untraced runs pay
         # one cached dict hit for the whole movement loop.
         bus = getattr(self.cluster, "events", None)
         trace_moves = bus is not None and bus.has_subscribers("rebalance.bucket_move")
 
         row_iter = iter(concurrent_rows)
-        for move in moves:
+        for index, move in enumerate(moves):
             self.faults.fire("nc_fail_before_prepare")
+            work = mover.move_bucket(move)
             if trace_moves:
-                loaded_before = mover.work.total_loaded_bytes
-                moved_records = mover.move_bucket(move)
                 self._emit(
                     "rebalance.bucket_move",
                     bucket=move.bucket.label,
                     source=move.source_partition,
                     destination=move.destination_partition,
-                    records=moved_records,
-                    payload_bytes=mover.work.total_loaded_bytes - loaded_before,
+                    records=work.records,
+                    payload_bytes=work.payload_bytes,
                 )
-            else:
-                mover.move_bucket(move)
             for _ in range(writes_per_move):
                 row = next(row_iter, None)
                 if row is None:
                     break
-                concurrent_write(row)
+                self._concurrent_write(replicator, row)
+            yield SimSegment("move", pricing.move(work), remaining=len(moves) - index - 1)
         for row in row_iter:
-            concurrent_write(row)
+            self._concurrent_write(replicator, row)
 
-        work = mover.work
-        report.records_moved = work.records_moved
-        report.bytes_scanned = work.total_scanned_bytes
-        report.bytes_shipped = work.total_shipped_bytes
-        report.bytes_loaded = work.total_loaded_bytes
+        totals = mover.work
+        report.records_moved = totals.records_moved
+        report.bytes_scanned = totals.total_scanned_bytes
+        report.bytes_shipped = totals.total_shipped_bytes
+        report.bytes_loaded = totals.total_loaded_bytes
         report.concurrent_writes_applied = replicator.stats.concurrent_writes
         report.replicated_log_records = replicator.stats.replicated_records
-
-        # Per-node time: source scan + outbound network, destination load +
-        # inbound network, all partitions of a node working in parallel but
-        # sharing its network link; plus the cost of applying concurrent
-        # writes (they contend with the movement on the same nodes).
-        per_node: Dict[str, float] = {}
-
-        def add(node: str, seconds: float) -> None:
-            per_node[node] = per_node.get(node, 0.0) + seconds
-
-        for pid, num_bytes in work.scanned_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.disk_read_time(num_bytes))
-        for pid, num_bytes in work.loaded_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.disk_write_time(num_bytes))
-        for node, num_bytes in work.shipped_bytes_by_node.items():
-            add(node, cost.network_time(num_bytes))
-        for node, num_bytes in work.received_bytes_by_node.items():
-            add(node, cost.network_time(num_bytes))
-        # CPU of repartitioning and of rebuilding secondary index entries.
-        for pid, num_bytes in work.loaded_bytes_by_partition.items():
-            add(partition_nodes[pid], cost.compare_time(work.records_moved))
-
-        if replicator.stats.concurrent_writes:
-            parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
-            replication_network = cost.network_time(replicator.stats.replicated_bytes)
-            for node in per_node:
-                add(node, parse_seconds / max(1, len(per_node)))
-            # Replication traffic shares the destination links.
-            for node, num_bytes in work.received_bytes_by_node.items():
-                add(node, replication_network / max(1, len(work.received_bytes_by_node)))
-
-        chaos = getattr(self.cluster, "chaos", None)
-        if chaos is not None:
-            per_node = dict(chaos.scale_node_seconds(per_node))
-        report.per_node_seconds = dict(per_node)
-        return cost.slowest(per_node) + cost.rpc_time(self.cluster.num_nodes)
+        closing_seconds = pricing.close(totals, replicator.stats)
+        report.per_node_seconds = dict(pricing.per_node_seconds)
+        yield SimSegment(pricing.closing_kind, closing_seconds)
 
     def _concurrent_write(self, replicator: LogReplicator, row: Mapping[str, Any]) -> None:
         """Apply one concurrent write through the replication channel.
@@ -413,201 +393,6 @@ class RebalanceOperation:
             concurrent=True,
         )
 
-    # -- interleaved execution (repro.sim) ------------------------------------
-
-    def run_steps(
-        self, concurrent: Optional[ConcurrentWriteLoad] = None
-    ) -> Generator[SimSegment, None, RebalanceReport]:
-        """Generator twin of :meth:`run` for the discrete-event engine.
-
-        Each ``yield`` hands a :class:`~repro.sim.SimSegment` back to the
-        consuming actor: the initialization cost, then one segment per bucket
-        move (plus a trailing concurrent-write segment), then finalization.
-        Protocol state mutates *between* yields, so a scheduler can interleave
-        other actors — foreground reads, another dataset's movement — inside
-        the data-movement window while the source partitions still serve the
-        old directory.  The event sequence (names and payloads) matches
-        :meth:`run` exactly; only clock positions differ.  The committed or
-        aborted :class:`~repro.cluster.reports.RebalanceReport` is the
-        generator's return value, with ``simulated_seconds`` equal to the sum
-        of the yielded segments (so the metrics registry's overlap
-        reconciliation at ``rebalance.complete`` is a no-op).
-        """
-        report = RebalanceReport(
-            strategy=self.strategy_name,
-            dataset=self.dataset_name,
-            old_nodes=self.old_nodes,
-            new_nodes=self._target_node_count(),
-            committed=False,
-            simulated_seconds=0.0,
-        )
-        self._emit("rebalance.dataset.start", strategy=self.strategy_name)
-        try:
-            init_seconds = self._initialization_phase(report)
-            self._emit("rebalance.phase", phase="initialization", seconds=init_seconds)
-            yield SimSegment("initialization", init_seconds)
-            move_seconds = 0.0
-            for segment in self._data_movement_segments(report, concurrent):
-                move_seconds += segment.seconds
-                yield segment
-            self._emit("rebalance.phase", phase="data_movement", seconds=move_seconds)
-            final_seconds = self._finalization_phase(report)
-            self._emit("rebalance.phase", phase="finalization", seconds=final_seconds)
-            yield SimSegment("finalization", final_seconds)
-        except RebalanceAborted as aborted:
-            abort_seconds = self._abort(str(aborted))
-            report.abort_reason = str(aborted)
-            report.phase_seconds["abort"] = abort_seconds
-            report.simulated_seconds = sum(report.phase_seconds.values())
-            self._emit("rebalance.abort", reason=str(aborted))
-            self._emit("rebalance.dataset.complete", committed=False, report=report)
-            return report
-        report.committed = True
-        report.phase_seconds.update(
-            initialization=init_seconds, data_movement=move_seconds, finalization=final_seconds
-        )
-        report.simulated_seconds = init_seconds + move_seconds + final_seconds
-        self._emit("rebalance.dataset.complete", committed=True, report=report)
-        return report
-
-    def _data_movement_segments(
-        self, report: RebalanceReport, concurrent: Optional[ConcurrentWriteLoad]
-    ) -> Generator[SimSegment, None, None]:
-        """The data-movement phase sliced bucket-by-bucket.
-
-        Performs the same state mutations as :meth:`_data_movement_phase`
-        (same move order, same concurrent-write weaving, same events) but
-        charges time per bucket: each ``"move"`` segment prices that bucket's
-        scan + ship + load + index rebuild on the nodes it touched, and a
-        trailing ``"concurrent_writes"`` segment prices the replication
-        overhead that legacy accounting spreads over the whole phase.  Chaos
-        window scaling applies per segment, so a straggler window that opens
-        mid-movement only slows the buckets moved while it is active.
-        """
-        assert self.plan is not None
-        cost = self.cluster.cost
-        partition_nodes = self._partition_nodes()
-        mover = DataMover(self.runtime, partition_nodes)
-        replicator = LogReplicator(self.runtime, self.plan, partition_nodes)
-        self._replicator = replicator
-        work = mover.work
-        chaos = getattr(self.cluster, "chaos", None)
-
-        moves = list(self.plan.moves)
-        # Open the log-replication channel for every moving bucket before any
-        # data moves: concurrent writes may target a bucket whose scan has not
-        # started yet, and their replicated records must not be lost.
-        for move in moves:
-            self.runtime.partitions[move.destination_partition].receive_bucket(move.bucket, [])
-        concurrent_rows = list(concurrent.rows) if concurrent is not None else []
-        writes_per_move = (
-            max(1, len(concurrent_rows) // max(1, len(moves))) if concurrent_rows else 0
-        )
-
-        bus = getattr(self.cluster, "events", None)
-        trace_moves = bus is not None and bus.has_subscribers("rebalance.bucket_move")
-
-        per_node_totals: Dict[str, float] = {}
-
-        def charged(per_node: Dict[str, float]) -> Dict[str, float]:
-            """Chaos-scale one segment's node seconds and fold into the report totals."""
-            if chaos is not None:
-                per_node = dict(chaos.scale_node_seconds(per_node))
-            for node, seconds in per_node.items():
-                per_node_totals[node] = per_node_totals.get(node, 0.0) + seconds
-            return per_node
-
-        row_iter = iter(concurrent_rows)
-        for index, move in enumerate(moves):
-            self.faults.fire("nc_fail_before_prepare")
-            source = move.source_partition
-            destination = move.destination_partition
-            source_node = partition_nodes[source] if source is not None else None
-            destination_node = partition_nodes[destination]
-            scanned_before = (
-                work.scanned_bytes_by_partition.get(source, 0) if source is not None else 0
-            )
-            loaded_before = work.loaded_bytes_by_partition.get(destination, 0)
-            shipped_before = (
-                work.shipped_bytes_by_node.get(source_node, 0) if source_node is not None else 0
-            )
-            received_before = work.received_bytes_by_node.get(destination_node, 0)
-            total_loaded_before = work.total_loaded_bytes
-            moved_records = mover.move_bucket(move)
-            if trace_moves:
-                self._emit(
-                    "rebalance.bucket_move",
-                    bucket=move.bucket.label,
-                    source=source,
-                    destination=destination,
-                    records=moved_records,
-                    payload_bytes=work.total_loaded_bytes - total_loaded_before,
-                )
-            for _ in range(writes_per_move):
-                row = next(row_iter, None)
-                if row is None:
-                    break
-                self._concurrent_write(replicator, row)
-            per_node: Dict[str, float] = {}
-            if source is not None and source_node is not None:
-                per_node[source_node] = cost.disk_read_time(
-                    work.scanned_bytes_by_partition.get(source, 0) - scanned_before
-                )
-            per_node[destination_node] = per_node.get(destination_node, 0.0) + (
-                cost.disk_write_time(
-                    work.loaded_bytes_by_partition.get(destination, 0) - loaded_before
-                )
-                + cost.compare_time(moved_records)
-            )
-            if source_node is not None and source_node != destination_node:
-                per_node[source_node] += cost.network_time(
-                    work.shipped_bytes_by_node.get(source_node, 0) - shipped_before
-                )
-                per_node[destination_node] += cost.network_time(
-                    work.received_bytes_by_node.get(destination_node, 0) - received_before
-                )
-            yield SimSegment(
-                "move",
-                cost.slowest(charged(per_node)) + cost.rpc_time(2),
-                remaining=len(moves) - index - 1,
-            )
-        for row in row_iter:
-            self._concurrent_write(replicator, row)
-
-        report.records_moved = work.records_moved
-        report.bytes_scanned = work.total_scanned_bytes
-        report.bytes_shipped = work.total_shipped_bytes
-        report.bytes_loaded = work.total_loaded_bytes
-        report.concurrent_writes_applied = replicator.stats.concurrent_writes
-        report.replicated_log_records = replicator.stats.replicated_records
-
-        # Trailing segment: the CPU/network of applying the concurrent writes
-        # (they contend with the movement on the same nodes) plus the phase's
-        # closing round trip.
-        trailing: Dict[str, float] = {}
-        if replicator.stats.concurrent_writes:
-            involved = sorted(
-                {
-                    partition_nodes[m.source_partition]
-                    for m in moves
-                    if m.source_partition is not None
-                }
-                | {partition_nodes[m.destination_partition] for m in moves}
-            ) or sorted(set(partition_nodes.values()))
-            parse_seconds = cost.parse_time(replicator.stats.concurrent_writes)
-            for node in involved:
-                trailing[node] = trailing.get(node, 0.0) + parse_seconds / max(1, len(involved))
-            # Replication traffic shares the destination links.
-            replication_network = cost.network_time(replicator.stats.replicated_bytes)
-            received_nodes = sorted(work.received_bytes_by_node)
-            for node in received_nodes:
-                trailing[node] = trailing.get(node, 0.0) + replication_network / max(
-                    1, len(received_nodes)
-                )
-        trailing_seconds = cost.slowest(charged(trailing)) + cost.rpc_time(self.cluster.num_nodes)
-        report.per_node_seconds = dict(per_node_totals)
-        yield SimSegment("concurrent_writes", trailing_seconds)
-
     # -- finalization ---------------------------------------------------------
 
     def _finalization_phase(self, report: RebalanceReport) -> float:
@@ -622,20 +407,12 @@ class RebalanceOperation:
         for partition in self.runtime.partitions.values():
             partition.block()
         prepare_flush_by_node: Dict[str, float] = {}
-        try:
-            self.faults.fire("cc_fail_before_commit")
-            for pid, partition in self.runtime.partitions.items():
-                self.faults.fire("nc_fail_after_prepare")
-                flushed = partition.prepare_rebalance()
-                node = partition_nodes[pid]
-                prepare_flush_by_node[node] = prepare_flush_by_node.get(node, 0) + flushed
-        except FaultInjected as fault:
-            if fault.site == "nc_fail_after_prepare":
-                # Case 2's *abort* variant is exercised by aborting here when
-                # the recovering NC is told the operation did not commit; the
-                # commit variant is reached via cc_fail_after_commit.
-                raise
-            raise
+        self.faults.fire("cc_fail_before_commit")
+        for pid, partition in self.runtime.partitions.items():
+            self.faults.fire("nc_fail_after_prepare")
+            flushed = partition.prepare_rebalance()
+            node = partition_nodes[pid]
+            prepare_flush_by_node[node] = prepare_flush_by_node.get(node, 0) + flushed
 
         prepare_seconds_by_node = {
             node: cost.disk_write_time(b) for node, b in prepare_flush_by_node.items()

@@ -38,7 +38,7 @@ from ..hashing.extendible import GlobalDirectory
 from ..hashing.static_bucket import static_buckets, static_directory
 from ..cluster.partition import StoragePartition
 from ..cluster.reports import ClusterRebalanceReport, RebalanceReport
-from ..sim import SimSegment
+from ..sim import SimSegment, drain
 from .operation import ConcurrentWriteLoad, FaultInjector, RebalanceOperation
 from .plan import RebalancePlan, plan_from_directories
 
@@ -79,41 +79,10 @@ class RebalancingStrategy:
         fault_injector: Optional[FaultInjector] = None,
     ) -> ClusterRebalanceReport:
         """Resize the cluster to ``target_nodes``, rebalancing every dataset."""
-        old_nodes = cluster.num_nodes
-        if target_nodes == old_nodes and not cluster.dataset_names():
-            return ClusterRebalanceReport(self.name, old_nodes, target_nodes, 0.0)
-        if target_nodes > old_nodes:
-            cluster.provision_nodes(target_nodes)
-        target_partitions = [
-            pid
-            for node in cluster.nodes[:target_nodes]
-            for pid in node.partition_ids
-        ]
-        dataset_reports: List[RebalanceReport] = []
-        all_committed = True
-        for dataset_name in cluster.dataset_names():
-            load = None
-            if concurrent_rows and dataset_name in concurrent_rows:
-                load = ConcurrentWriteLoad(rows=concurrent_rows[dataset_name])
-            operation = RebalanceOperation(
-                cluster,
-                dataset_name,
-                target_partitions,
-                strategy_name=self.name,
-                plan=self.plan_for(cluster, dataset_name, target_partitions),
-                fault_injector=fault_injector or FaultInjector(),
+        return drain(
+            self.rebalance_cluster_steps(
+                cluster, target_nodes, concurrent_rows, fault_injector, _per_move=False
             )
-            report = operation.run(concurrent=load)
-            dataset_reports.append(report)
-            all_committed = all_committed and report.committed
-        if target_nodes < old_nodes and all_committed:
-            cluster.decommission_nodes(target_nodes)
-        return ClusterRebalanceReport(
-            strategy=self.name,
-            old_nodes=old_nodes,
-            new_nodes=cluster.num_nodes,
-            simulated_seconds=sum(report.simulated_seconds for report in dataset_reports),
-            dataset_reports=dataset_reports,
         )
 
     def rebalance_cluster_steps(
@@ -122,15 +91,16 @@ class RebalancingStrategy:
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
+        *,
+        _per_move: bool = True,
     ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
-        """Generator twin of :meth:`rebalance_cluster` for the event scheduler.
+        """:meth:`rebalance_cluster` as a generator of protocol segments.
 
         Delegates each dataset to
         :meth:`~repro.rebalance.operation.RebalanceOperation.run_steps`, so
         the consuming actor sees every bucket move as its own
         :class:`~repro.sim.SimSegment` and other actors can interleave inside
-        the movement windows.  Provision/decommission bookkeeping and the
-        returned report are identical to the run-to-completion path.
+        the movement windows.
         """
         old_nodes = cluster.num_nodes
         if target_nodes == old_nodes and not cluster.dataset_names():
@@ -156,7 +126,7 @@ class RebalancingStrategy:
                 plan=self.plan_for(cluster, dataset_name, target_partitions),
                 fault_injector=fault_injector or FaultInjector(),
             )
-            report = yield from operation.run_steps(concurrent=load)
+            report = yield from operation.run_steps(concurrent=load, _per_move=_per_move)
             dataset_reports.append(report)
             all_committed = all_committed and report.committed
         if target_nodes < old_nodes and all_committed:
@@ -286,13 +256,21 @@ class GlobalHashingStrategy(RebalancingStrategy):
         # which is a single never-splitting root bucket in our storage layer.
         return replace(base, static=True, initial_buckets_per_partition=1)
 
-    def rebalance_cluster(
+    def rebalance_cluster_steps(
         self,
         cluster: "SimulatedCluster",
         target_nodes: int,
         concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
         fault_injector: Optional[FaultInjector] = None,
-    ) -> ClusterRebalanceReport:
+        *,
+        _per_move: bool = True,
+    ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
+        """The offline rebuild, yielded as one ``offline_rebuild`` segment.
+
+        The baseline recreates every dataset in one shot: there is no
+        bucket-by-bucket protocol to slice, so both engines price it the
+        same way and nothing can interleave with it.
+        """
         if fault_injector is not None and fault_injector:
             raise ConfigError(
                 "the Hashing baseline rebuilds datasets offline and has no "
@@ -310,33 +288,14 @@ class GlobalHashingStrategy(RebalancingStrategy):
             dataset_reports.append(
                 self._rebalance_dataset(cluster, dataset_name, target_partitions, rows)
             )
-        cluster.decommission_nodes(target_nodes) if target_nodes < old_nodes else None
-        return ClusterRebalanceReport(
+        if target_nodes < old_nodes:
+            cluster.decommission_nodes(target_nodes)
+        report = ClusterRebalanceReport(
             strategy=self.name,
             old_nodes=old_nodes,
             new_nodes=cluster.num_nodes,
             simulated_seconds=sum(report.simulated_seconds for report in dataset_reports),
             dataset_reports=dataset_reports,
-        )
-
-    def rebalance_cluster_steps(
-        self,
-        cluster: "SimulatedCluster",
-        target_nodes: int,
-        concurrent_rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
-        fault_injector: Optional[FaultInjector] = None,
-    ) -> "Generator[SimSegment, None, ClusterRebalanceReport]":
-        """Coarse fallback: the offline rebuild has no interleaving points.
-
-        The baseline recreates every dataset in one shot (there is no
-        bucket-by-bucket protocol to slice), so the interleaved engine gets a
-        single ``offline_rebuild`` segment spanning the whole rebuild.
-        """
-        report = self.rebalance_cluster(
-            cluster,
-            target_nodes,
-            concurrent_rows=concurrent_rows,
-            fault_injector=fault_injector,
         )
         yield SimSegment("offline_rebuild", report.simulated_seconds)
         return report

@@ -47,11 +47,13 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple, TypeVar
 
 from ..common.clock import SimulatedClock
 
-__all__ = ["Actor", "EventScheduler", "SimSchedulerError", "SimSegment", "stream_rng"]
+T = TypeVar("T")
+
+__all__ = ["Actor", "EventScheduler", "SimSchedulerError", "SimSegment", "drain", "stream_rng"]
 
 
 class SimSchedulerError(RuntimeError):
@@ -67,6 +69,19 @@ def stream_rng(stream: str, seed: int) -> random.Random:
     bit-identical across processes (string seeding is not hash-salted).
     """
     return random.Random(f"{stream}:{seed}")
+
+
+def drain(gen: Generator[Any, None, T]) -> T:
+    """Run a generator to completion and return its return value.
+
+    The run-to-completion engine: yielded segments are discarded, since
+    nothing else shares the clock.
+    """
+    try:
+        while True:
+            next(gen)
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,29 @@ class TestRebalanceVerbs:
             assert [outcome.action for outcome in outcomes] == ["aborted"]
             assert orders.count() == 600
 
+    @pytest.mark.parametrize("strategy", ["dynahash", "hashing"])
+    @pytest.mark.parametrize("verb", ["rebalance", "rebalance_steps"])
+    def test_concurrent_rows_for_unknown_dataset_rejected_before_any_change(
+        self, strategy, verb
+    ):
+        with Database(small_config(num_nodes=2), strategy=strategy) as database:
+            orders = database.create_dataset("orders", primary_key="o_orderkey")
+            orders.insert(order_rows(100))
+            metadata_wal = database.cluster.cc.metadata_wal
+            log_length = len(metadata_wal)
+            started = []
+            database.on("rebalance.*", started.append)
+            rows = {"orders": order_rows(5, 100), "nope": order_rows(5, 200)}
+            with pytest.raises(UnknownDatasetError, match="nope"):
+                if verb == "rebalance":
+                    database.rebalance(add=1, concurrent_rows=rows)
+                else:
+                    next(database.rebalance_steps(add=1, concurrent_rows=rows))
+            assert database.num_nodes == 2
+            assert len(metadata_wal) == log_length
+            assert started == []
+            assert orders.count() == 100
+
 
 class TestConfigStrategyWiring:
     def test_config_strategy_name_is_resolved(self):

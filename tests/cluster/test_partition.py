@@ -275,3 +275,56 @@ class TestRebalanceDestinationSide:
         assert first == [bucket_id]
         assert second == []
         assert partition.primary.bucket_count >= 1
+
+
+class TestBucketMovesBack:
+    """A bucket that leaves a partition and later returns to it.
+
+    Leaving invalidates the bucket in the secondary indexes; the filter must
+    cover only what was stale then, not the data the bucket brings back.
+    """
+
+    def _leave_and_return(self, partition, flush_before_leaving):
+        for key in range(40):
+            partition.insert(order_row(key, date="1995-01-01"))
+        if flush_before_leaving:
+            partition.maintain(force_flush=True)
+        bucket_id = partition.primary.bucket_ids[0]
+        moved = [k for k in range(40) if bucket_id.contains_key(k)]
+        partition.cleanup_moved_bucket(bucket_id)
+        returning = [
+            Entry(key=k, value=order_row(k, date="1996-06-06"), seqnum=i + 1)
+            for i, k in enumerate(moved)
+        ]
+        partition.receive_bucket(bucket_id, returning)
+        partition.prepare_rebalance()
+        partition.install_received_buckets()
+        return moved
+
+    def _secondary(self, partition):
+        return {e.key[-1]: e.key[0] for e in partition.scan_secondary("idx_orderdate")}
+
+    @pytest.mark.parametrize("flush_before_leaving", [True, False], ids=["on_disk", "in_memory"])
+    def test_returned_bucket_is_visible_in_secondary_index(self, flush_before_leaving):
+        partition = make_partition()
+        moved = self._leave_and_return(partition, flush_before_leaving)
+        expected = {k: "1996-06-06" if k in moved else "1995-01-01" for k in range(40)}
+        assert self._secondary(partition) == expected
+        # Flushing the stale memory entries and merging everything keeps the
+        # returned entries and drops only the stale ones.
+        partition.maintain(force_flush=True)
+        assert self._secondary(partition) == expected
+        index = partition.secondary_indexes["idx_orderdate"]
+        index.merge_all()
+        assert self._secondary(partition) == expected
+        assert len(index.disk_components[0]) == 40
+        assert index.invalidated_buckets == set()
+
+    def test_writes_after_return_are_visible(self):
+        partition = make_partition()
+        moved = self._leave_and_return(partition, flush_before_leaving=False)
+        partition.insert(order_row(moved[0], date="1997-07-07"))
+        partition.delete(moved[1], record=order_row(moved[1], date="1996-06-06"))
+        keys = {e.key for e in partition.scan_secondary("idx_orderdate")}
+        assert ("1997-07-07", moved[0]) in keys
+        assert ("1996-06-06", moved[1]) not in keys

@@ -1,63 +1,19 @@
-"""The fallback TOML parser: equivalence with tomllib and error reporting."""
-
-from pathlib import Path
+"""TOML scenario specs: invalid TOML is one actionable error naming the file."""
 
 import pytest
 
-from repro.scenario._toml import TOMLParseError, parse_toml_fallback
-
-tomllib = pytest.importorskip("tomllib")
-
-SCENARIO_DIR = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+from repro.scenario import ScenarioSpecError, load_scenario
 
 
 @pytest.mark.parametrize(
-    "path", sorted(SCENARIO_DIR.glob("*.toml")), ids=lambda p: p.stem
+    "bad",
+    ["key", "[unclosed", 'x = "unterminated', "x = [1, 2", "x = 1\nx = 2", "x = nonsense"],
+    ids=["no_value", "unclosed_table", "unterminated_string", "unterminated_array",
+         "duplicate_key", "bad_value"],
 )
-def test_fallback_matches_tomllib_on_committed_specs(path):
-    """The 3.10 fallback and tomllib must agree on every committed spec."""
-    text = path.read_text()
-    assert parse_toml_fallback(text) == tomllib.loads(text)
-
-
-def test_fallback_matches_tomllib_on_feature_kitchen_sink():
-    text = """
-    top = 1
-    [a]
-    string = "with # hash and \\" escape"
-    integer = 1_000
-    float = 0.25
-    exponent = 1e6
-    boolean = true
-    array = [1, 2, 3]
-    multiline = [
-        "one",
-        "two",
-    ]
-    inline = { x = 1, y = "two", z = 0.5 }
-    [a.nested]
-    k = "v"
-    [[items]]
-    name = "first"
-    [items.sub]
-    deep = true
-    [[items]]
-    name = "second"
-    """
-    assert parse_toml_fallback(text) == tomllib.loads(text)
-
-
-@pytest.mark.parametrize(
-    "bad, fragment",
-    [
-        ("key", "key = value"),
-        ("[unclosed", "malformed"),
-        ('x = "unterminated', "unterminated"),
-        ("x = [1, 2", "unterminated"),
-        ("x = 1\nx = 2", "duplicate"),
-        ("x = nonsense", "cannot parse"),
-    ],
-)
-def test_fallback_errors_are_actionable(bad, fragment):
-    with pytest.raises(TOMLParseError, match=fragment):
-        parse_toml_fallback(bad)
+def test_invalid_toml_raises_spec_error_with_path(tmp_path, bad):
+    path = tmp_path / "broken.toml"
+    path.write_text(bad)
+    with pytest.raises(ScenarioSpecError, match="invalid TOML") as excinfo:
+        load_scenario(path)
+    assert str(path) in str(excinfo.value)
