@@ -7,8 +7,13 @@ is the single place that knows how each committed golden is produced:
 
 * ``tests/integration/fixtures/driver_snapshots_golden.json`` — per-mix
   workload-driver snapshots (the PR-4 hot-path pins),
-* ``tests/integration/fixtures/traffic_snapshot_golden.json`` — the traffic
-  experiment snapshot at SMOKE scale,
+* ``tests/integration/fixtures/traffic_snapshot_golden.json`` — the metrics
+  snapshot of the traffic storm declared in ``traffic_snapshot.toml`` beside
+  it (SMOKE bench cluster shape),
+* ``tests/integration/fixtures/autopilot_storm_traced_golden.json`` — a
+  full traced recording of the smoke-scale autopilot storm on the legacy
+  engine: its phases run op by op, so it pins the per-op ``op.*`` event path
+  and the autopilot's decisions,
 * ``tests/sim/goldens/<scenario>.interleaved.json`` — full recordings
   (snapshot + trace + chaos log) of smoke-scale scenarios under the
   interleaved discrete-event engine.
@@ -56,27 +61,41 @@ def driver_snapshots_golden() -> str:
 
 
 def traffic_snapshot_golden() -> str:
-    """SMOKE-scale traffic experiment: tests/integration/test_hotpath_golden.py."""
-    from repro.bench.config import SMOKE
-    from repro.bench.experiments import run_traffic_experiment
+    """The traffic storm of the spec beside it: tests/integration/test_hotpath_golden.py."""
+    from repro.scenario import load_scenario, run_scenario
 
-    result = run_traffic_experiment(SMOKE)
+    result = run_scenario(load_scenario(FIXTURES / "traffic_snapshot.toml"))
     return result.snapshot.to_json(indent=2) + "\n"
+
+
+def smoke_recording(name: str, concurrency: str, traced: bool = False) -> str:
+    """A smoke-scale recording of ``examples/scenarios/<name>.toml``."""
+    from dataclasses import replace
+
+    from repro.scenario import TraceSection, load_scenario, recording_payload, run_scenario
+
+    spec = load_scenario(ROOT / "examples" / "scenarios" / f"{name}.toml").scaled_down()
+    if traced:
+        spec = replace(spec, trace=TraceSection())
+    result = run_scenario(spec, concurrency=concurrency)
+    return json.dumps(recording_payload(result), sort_keys=True, indent=2) + "\n"
+
+
+def autopilot_storm_traced_golden() -> str:
+    """Traced legacy autopilot storm: tests/integration/test_hotpath_golden.py."""
+    return smoke_recording("autopilot_storm", "legacy", traced=True)
 
 
 def interleaved_recording(name: str) -> str:
     """A smoke-scale interleaved recording: tests/sim/test_goldens.py."""
-    from repro.scenario import load_scenario, recording_payload, run_scenario
-
-    spec = load_scenario(ROOT / "examples" / "scenarios" / f"{name}.toml").scaled_down()
-    result = run_scenario(spec, concurrency="interleaved")
-    return json.dumps(recording_payload(result), sort_keys=True, indent=2) + "\n"
+    return smoke_recording(name, "interleaved")
 
 
 def generators() -> Dict[Path, Callable[[], str]]:
     table: Dict[Path, Callable[[], str]] = {
         FIXTURES / "driver_snapshots_golden.json": driver_snapshots_golden,
         FIXTURES / "traffic_snapshot_golden.json": traffic_snapshot_golden,
+        FIXTURES / "autopilot_storm_traced_golden.json": autopilot_storm_traced_golden,
     }
     for name in INTERLEAVED_SCENARIOS:
         table[SIM_GOLDENS / f"{name}.interleaved.json"] = (

@@ -47,10 +47,12 @@ from ..common.errors import (
     ClusterError,
     ConfigError,
     FaultInjected,
+    MissingPrimaryKeyError,
     QueryError,
     RebalanceError,
     ReproError,
     UnknownDatasetError,
+    UnsupportedKeyTypeError,
 )
 from ..common.reporting import format_table
 from ..common.units import GIB, KIB, MIB
@@ -156,6 +158,7 @@ __all__ = [
     "MIB",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "MissingPrimaryKeyError",
     "OPERATIONS",
     "OperationMix",
     "PHASE_REBALANCE",
@@ -183,6 +186,7 @@ __all__ = [
     "ThresholdPolicy",
     "UniformKeys",
     "UnknownDatasetError",
+    "UnsupportedKeyTypeError",
     "WhatIfPlanner",
     "WorkloadDriver",
     "WorkloadReport",

@@ -7,23 +7,21 @@ from .experiments import (
     ConcurrentWriteExperimentResult,
     IngestionExperimentResult,
     QueryExperimentResult,
+    SCENARIO_SUITES,
     ScalingExperimentResult,
-    TrafficExperimentResult,
     build_loaded_database,
     make_strategy,
-    run_autopilot_experiment,
     run_concurrent_write_experiment,
     run_ingestion_experiment,
     run_query_experiment,
     run_scaling_experiment,
-    run_traffic_experiment,
+    run_scenario_suite,
+    scenario_at_scale,
 )
 from .artifacts import bench_artifact_dir, traffic_artifact_payload, write_bench_artifact
-from .experiments import AutopilotExperimentResult
 from .reporting import format_table, markdown_table, per_query_table, series_table
 
 __all__ = [
-    "AutopilotExperimentResult",
     "BenchScale",
     "ConcurrentWriteExperimentResult",
     "FULL",
@@ -31,21 +29,21 @@ __all__ = [
     "PAPER_STRATEGIES",
     "QUERY_APPROACHES",
     "QueryExperimentResult",
+    "SCENARIO_SUITES",
     "SMOKE",
     "ScalingExperimentResult",
-    "TrafficExperimentResult",
     "bench_artifact_dir",
     "build_loaded_database",
     "format_table",
     "make_strategy",
     "markdown_table",
     "per_query_table",
-    "run_autopilot_experiment",
     "run_concurrent_write_experiment",
     "run_ingestion_experiment",
     "run_query_experiment",
     "run_scaling_experiment",
-    "run_traffic_experiment",
+    "run_scenario_suite",
+    "scenario_at_scale",
     "series_table",
     "traffic_artifact_payload",
     "write_bench_artifact",

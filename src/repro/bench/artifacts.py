@@ -14,7 +14,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenario import ScenarioResult
 
 #: Environment variable selecting where artifacts are written.
 ARTIFACT_DIR_ENV = "REPRO_BENCH_ARTIFACT_DIR"
@@ -49,27 +52,26 @@ def write_bench_artifact(
     return str(path)
 
 
-def traffic_artifact_payload(name: str, result: Any) -> Dict[str, Any]:
-    """The standard artifact body for a traffic-shaped experiment result.
+def traffic_artifact_payload(name: str, result: "ScenarioResult") -> Dict[str, Any]:
+    """The standard artifact body for a traffic scenario run.
 
-    Works for any result carrying ``total_ops``, ``simulated_seconds``, the
-    per-phase ``write_p99_ms`` / ``read_p99_ms`` dicts, and a ``percentiles``
-    mapping (``"op[phase]"`` -> summary row, seconds) — i.e.
-    :class:`~repro.bench.experiments.TrafficExperimentResult` and
-    :class:`~repro.bench.experiments.AutopilotExperimentResult`.
+    Headline ops/sec, p99 write/read latency per cluster phase, and the
+    percentile row of every populated ``"op[phase]"`` histogram (seconds:
+    count/mean/p50/p95/p99/max), read off the run's metrics snapshot.
     """
-    simulated = float(getattr(result, "simulated_seconds", 0.0))
-    total_ops = int(getattr(result, "total_ops", 0))
-    payload: Dict[str, Any] = {
+    from ..metrics.histogram import LatencyHistogram
+
+    simulated = result.simulated_seconds
+    return {
         "name": name,
-        "total_ops": total_ops,
+        "total_ops": result.total_ops,
         "simulated_seconds": simulated,
-        "ops_per_second": total_ops / simulated if simulated > 0 else 0.0,
-        "write_p99_ms": dict(getattr(result, "write_p99_ms", {})),
-        "read_p99_ms": dict(getattr(result, "read_p99_ms", {})),
-        #: Per-(op, phase) percentile rows in seconds: count/mean/p50/p95/p99/max.
+        "ops_per_second": result.total_ops / simulated if simulated > 0 else 0.0,
+        "write_p99_ms": {phase: s * 1e3 for phase, s in result.write_p99_seconds.items()},
+        "read_p99_ms": {phase: s * 1e3 for phase, s in result.read_p99_seconds.items()},
         "op_phase_percentiles": {
-            key: dict(row) for key, row in dict(getattr(result, "percentiles", {})).items()
+            key: LatencyHistogram.from_snapshot(snap).summary()
+            for key, snap in result.snapshot.histograms.items()
+            if snap[1]
         },
     }
-    return payload

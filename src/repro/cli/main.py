@@ -13,9 +13,10 @@ The subcommands cover the operate-it-like-a-database loop the docs teach
     The benchmark harness: ``--suite micro`` runs the hot-path
     microbenchmarks (with the same ``--check``/``--write-baseline`` perf-gate
     flags as ``python -m repro.bench.micro``), ``--suite traffic`` /
-    ``autopilot`` run the named experiment drivers, writing ``BENCH_*.json``
-    artifacts when an artifact directory is configured.  ``--dry-run`` lists
-    what would run.
+    ``autopilot`` run the committed ``traffic_storm`` / ``autopilot_storm``
+    scenario specs (``--scale full`` puts the FULL cluster shape on top),
+    writing ``BENCH_*.json`` artifacts when an artifact directory is
+    configured.  ``--dry-run`` lists what would run.
 
 ``inspect RECORDING``
     Print a recorded run's cluster directory/partition state, check
@@ -124,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the micro suite or a named experiment, writing BENCH_*.json",
+        help="run the micro suite or a storm scenario, writing BENCH_*.json",
         description="Benchmark harness. --suite micro is the CI perf gate's "
-        "suite; traffic/autopilot run the named experiment drivers.",
+        "suite; traffic/autopilot run the committed traffic_storm/autopilot_storm "
+        "scenario specs (exit 1 if a spec check fails).",
     )
     bench.add_argument(
         "--suite",
@@ -405,15 +407,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _bench_plan(suite: str, scale: str) -> List[str]:
+    from ..bench import SCENARIO_SUITES
     from ..bench.micro import BENCHMARKS
 
     plan = []
     if suite in ("micro", "all"):
         plan.extend(f"micro:{name}" for name in BENCHMARKS)
-    if suite in ("traffic", "all"):
-        plan.append(f"experiment:traffic ({scale} scale)")
-    if suite in ("autopilot", "all"):
-        plan.append(f"experiment:autopilot ({scale} scale)")
+    plan.extend(
+        f"experiment:{name} (examples/scenarios/{spec}.toml, {scale} scale)"
+        for name, spec in SCENARIO_SUITES.items()
+        if suite in (name, "all")
+    )
     return plan
 
 
@@ -459,28 +463,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.suite in ("traffic", "autopilot", "all"):
         import time
 
-        from ..bench import FULL, SMOKE, write_bench_artifact
-        from ..bench import run_autopilot_experiment, run_traffic_experiment
-        from ..bench.artifacts import traffic_artifact_payload
+        from ..bench import FULL, SCENARIO_SUITES, SMOKE, run_scenario_suite
+        from ..bench import traffic_artifact_payload, write_bench_artifact
 
         scale = SMOKE if args.scale == "smoke" else FULL
-        experiments = []
-        if args.suite in ("traffic", "all"):
-            # Artifact names keep continuity with the pre-CLI trajectory
-            # (examples/traffic_storm.py wrote BENCH_traffic_storm.json).
-            experiments.append(("traffic_storm", run_traffic_experiment))
-        if args.suite in ("autopilot", "all"):
-            experiments.append(("autopilot_storm", run_autopilot_experiment))
-        for name, experiment in experiments:
-            # Real wall-clock throughput is exactly what the perf trajectory
-            # tracks (simulated ops/sec is seed-deterministic and never moves).
+        for suite, name in SCENARIO_SUITES.items():
+            if args.suite not in (suite, "all"):
+                continue
             wall_started = time.perf_counter()  # reprolint: allow[det-wall-clock] -- bench harness measures real elapsed time
-            result = experiment(scale=scale)
+            result = run_scenario_suite(suite, scale)
             wall_seconds = time.perf_counter() - wall_started  # reprolint: allow[det-wall-clock] -- bench harness measures real elapsed time
-            print(result.table())
-            summary = getattr(result, "autopilot_summary", "")
-            if summary:
-                print(summary)
+            print(result.render())
+            if not result.passed:
+                status = 1
             payload = traffic_artifact_payload(name, result)
             # The trajectory's regression signal: real wall-clock throughput
             # (simulated ops/sec is seed-deterministic and never moves).

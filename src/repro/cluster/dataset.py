@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..common.errors import ConfigError
+from ..common.errors import ConfigError, MissingPrimaryKeyError
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,15 @@ class DatasetSpec:
 
     def primary_key_of(self, record: Mapping[str, Any]) -> Any:
         """Extract the primary key value (scalar for single-field keys)."""
-        if len(self.primary_key) == 1:
-            return record[self.primary_key[0]]
-        return tuple(record[field_name] for field_name in self.primary_key)
+        try:
+            if len(self.primary_key) == 1:
+                return record[self.primary_key[0]]
+            return tuple(record[field_name] for field_name in self.primary_key)
+        except KeyError as exc:
+            raise MissingPrimaryKeyError(
+                f"dataset {self.name!r}: row has no primary-key field {exc.args[0]!r} "
+                f"(primary key: {', '.join(self.primary_key)})"
+            ) from None
 
     def index_names(self) -> List[str]:
         return [index.name for index in self.secondary_indexes]

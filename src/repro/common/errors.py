@@ -51,6 +51,25 @@ class DatasetExistsError(ClusterError):
     """Attempted to create a dataset whose name is already taken."""
 
 
+class MissingPrimaryKeyError(ReproError, KeyError):
+    """A row lacks a primary-key field of the dataset it was written to.
+
+    Also a :class:`KeyError`, the builtin it replaces, so existing
+    ``except KeyError`` clauses keep working.
+    """
+
+    def __str__(self) -> str:
+        # KeyError quotes its argument; this one carries a sentence.
+        return Exception.__str__(self)
+
+
+class UnsupportedKeyTypeError(ReproError, TypeError):
+    """A key has a type the partitioning hash does not support (e.g. ``None``).
+
+    Also a :class:`TypeError`, the builtin it replaces.
+    """
+
+
 class RebalanceError(ReproError):
     """Base class for rebalance-protocol errors."""
 

@@ -76,9 +76,10 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
             "+ counters) and the autopilot (evaluation pacing). Every sample "
             "carries `latency_seconds` (the operation's simulated service "
             "time) and `records` (records touched — the batch size for "
-            "`insert`, the rows returned for `scan`). The batched driver "
-            "pipeline emits one `op.batch` per same-verb run instead of N "
-            "single-op events; the registry's batch sink produces "
+            "`insert`, the rows returned for `scan`). Plain driver phases "
+            "emit one `op.batch` per same-verb run instead of N single-op "
+            "events (phases with an autopilot or a `max_seconds` budget keep "
+            "per-op events); the registry's batch sink produces "
             "bit-identical state to the per-sample path."
         ),
         events=(
@@ -122,8 +123,8 @@ EVENT_FAMILIES: Tuple[EventFamily, ...] = (
                 "op.batch",
                 required=("op", "dataset", "latencies", "records_per_op", "count"),
                 description=(
-                    "one batched run of same-verb samples from the driver "
-                    "pipeline; `latencies` is the per-op list"
+                    "one batched run of same-verb samples from a plain driver "
+                    "phase; `latencies` is the per-op list"
                 ),
             ),
         ),

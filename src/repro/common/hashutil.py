@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from .errors import UnsupportedKeyTypeError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -69,7 +71,7 @@ def hash_key(key: Any) -> int:
         for part in key:
             h = (hash64(h) ^ hash_key(part)) & _MASK64
         return hash64(h)
-    raise TypeError(f"unsupported partitioning key type: {type(key).__name__}")
+    raise UnsupportedKeyTypeError(f"unsupported partitioning key type: {type(key).__name__}")
 
 
 def low_bits(hash_value: int, depth: int) -> int:

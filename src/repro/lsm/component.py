@@ -21,6 +21,7 @@ reaches zero.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..common.errors import ComponentStateError
@@ -193,15 +194,17 @@ class DiskComponent(ReferenceCounted):
         return self._index.get(key)
 
     def scan(self, low: Any = None, high: Any = None) -> Iterator[Entry]:
-        """Yield entries with ``low <= key <= high`` in key order."""
+        """Yield entries with ``low <= key <= high`` in key order.
+
+        Both bounds are found by bisecting the sorted keys, so a range scan
+        costs O(log n + result), not O(n).
+        """
         if self._destroyed:
             raise ComponentStateError("component already destroyed")
-        for entry in self._entries:
-            if low is not None and _sort_key(entry.key) < _sort_key(low):
-                continue
-            if high is not None and _sort_key(entry.key) > _sort_key(high):
-                break
-            yield entry
+        keys = self._keys
+        start = 0 if low is None else bisect_left(keys, _sort_key(low), key=_sort_key)
+        end = len(keys) if high is None else bisect_right(keys, _sort_key(high), key=_sort_key)
+        yield from self._entries[start:end]
 
     def entries(self) -> List[Entry]:
         """All entries in key order (used by merges and rebalance scans)."""

@@ -495,7 +495,6 @@ class WorkloadSection:
     batch_size: int = 32
     batch_jitter: float = 0.25
     scan_span: int = 16
-    batch_ops: Optional[bool] = None
     op_chunk: int = 256
 
     _KEYS = (
@@ -510,7 +509,6 @@ class WorkloadSection:
         "batch_size",
         "batch_jitter",
         "scan_span",
-        "batch_ops",
         "op_chunk",
     )
 
@@ -542,7 +540,6 @@ class WorkloadSection:
             batch_size=_get_typed(mapping, "batch_size", int, where, 32),
             batch_jitter=float(_get_typed(mapping, "batch_jitter", (int, float), where, 0.25)),
             scan_span=_get_typed(mapping, "scan_span", int, where, 16),
-            batch_ops=_get_typed(mapping, "batch_ops", bool, where),
             op_chunk=_get_typed(mapping, "op_chunk", int, where, 256),
         )
         section.build_spec()  # validate the numeric ranges eagerly
@@ -581,7 +578,6 @@ class WorkloadSection:
                 batch_size=self.batch_size,
                 batch_jitter=self.batch_jitter,
                 scan_span=self.scan_span,
-                batch_ops=self.batch_ops,
                 op_chunk=self.op_chunk,
             )
         except ValueError as exc:
@@ -604,8 +600,7 @@ class WorkloadSection:
             "batch_size",
             "batch_jitter",
             "scan_span",
-            "batch_ops",
-            "op_chunk",
+                "op_chunk",
         ):
             value = getattr(self, key)
             if value != getattr(defaults, key):

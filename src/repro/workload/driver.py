@@ -16,6 +16,16 @@ drivers with the same seed against identically configured databases therefore
 produce bit-identical metric snapshots — the contract the determinism tests
 pin down.
 
+Execution
+---------
+Every phase runs through one draw path (:meth:`WorkloadDriver._draw_chunk`,
+or its rebalance-phase partition :meth:`WorkloadDriver._draw_rebalance_plan`)
+and one executor (:meth:`WorkloadDriver._execute_chunk`).  Plain phases draw
+``op_chunk`` ops at a time and batch same-verb runs (one ``op.batch`` event
+per run); phases that need exact op positions — an attached autopilot, a
+``max_seconds`` budget — and rebalance-phase foreground ops run op by op
+through the per-op verbs.  Both shapes produce identical metric snapshots.
+
 Traffic during a rebalance
 --------------------------
 A phase carrying ``rebalance={"add": 1}`` overlaps its traffic with the
@@ -48,17 +58,19 @@ Autopilot
 ---------
 When the session has an :class:`~repro.control.autopilot.Autopilot` attached
 (``db.autopilot(...)``), the driver's traffic *is* the control loop's input:
-the engine re-evaluates its policy every N ``op.*`` events, so a hotspot
-spike phase can organically trigger a policy-driven rebalance mid-run with no
-``rebalance=`` key in the schedule.  The run's report carries the decisions
-taken while it ran (``report.autopilot_decisions``).
+the engine re-evaluates its policy every N ops (which is why those phases
+run op by op), so a hotspot spike phase can organically trigger a
+policy-driven rebalance mid-run with no ``rebalance=`` key in the schedule.
+The run's report carries the decisions taken while it ran
+(``report.autopilot_decisions``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from ..metrics import MetricsSnapshot, PHASE_REBALANCE, PHASE_STEADY
 from .keygen import (
@@ -108,17 +120,9 @@ class WorkloadSpec:
     scan_span: int = 16
     #: Create the dataset if it does not exist yet.
     create_dataset: bool = True
-    #: Whether traffic phases use the batched op pipeline (chunked draws,
-    #: cached bound verbs, one ``op.batch`` telemetry event per same-verb
-    #: run).  ``None`` means auto: batched unless the session has an
-    #: autopilot engine attached (whose evaluation points are op-stream
-    #: positions the batched pipeline would coarsen).  Phases with a
-    #: ``max_seconds`` budget always run the per-op loop — its cutoff is
-    #: checked before every op — regardless of this flag.  The batched and
-    #: per-op pipelines produce identical metric snapshots — pinned by test —
-    #: so this is a throughput knob, not a semantic one.
-    batch_ops: Optional[bool] = None
-    #: Ops drawn per chunk by the batched pipeline.
+    #: Ops drawn per chunk by phases that batch same-verb runs (phases
+    #: with an autopilot attached or a ``max_seconds`` budget draw one op
+    #: at a time).
     op_chunk: int = 256
 
     def __post_init__(self) -> None:
@@ -255,7 +259,7 @@ class WorkloadDriver:
     def dataset(self) -> "Dataset":
         # Handles are stateless (every verb re-resolves the live runtime), so
         # one cached handle serves the whole run — resolved per access, this
-        # property was a measurable slice of the per-op loop.
+        # property was a measurable slice of op execution.
         handle = self._dataset_handle
         if handle is None:
             handle = self._dataset_handle = self.db.dataset(self.spec.dataset)
@@ -403,61 +407,51 @@ class WorkloadDriver:
 
     # ------------------------------------------------------- steady traffic
 
-    def _use_batched_pipeline(self, phase: Phase) -> bool:
-        """Whether this traffic phase runs through the batched op pipeline."""
-        if phase.max_seconds is not None:
-            # The time budget is checked before every op; chunked execution
-            # would quantise (or with an explicit batch_ops=True, silently
-            # ignore) the cutoff point, so such phases always run per-op.
-            return False
-        if self.spec.batch_ops is not None:
-            return self.spec.batch_ops
-        # An attached autopilot evaluates at op-stream positions; batching
-        # would move its decision points, so those runs keep the per-op loop.
-        return getattr(self.db, "autopilot_engine", None) is None
-
     def _run_traffic_phase(self, phase: Phase) -> PhaseResult:
+        """Draw and execute the phase chunk by chunk.
+
+        Two kinds of phase keep exact op positions: an attached autopilot
+        evaluates at op-stream positions, and a ``max_seconds`` budget is
+        checked before every op.  Those run chunks of one op through the
+        per-op verbs; all others batch same-verb runs.
+        """
         mix = make_mix(phase.mix) if phase.mix is not None else self._mix
         keys = self._phase_keys(phase)
         result = PhaseResult(name=phase.name)
-        if self._use_batched_pipeline(phase):
-            remaining = phase.ops
-            chunk_size = self.spec.op_chunk
-            while remaining > 0:
-                chunk = min(chunk_size, remaining)
-                plan = self._draw_chunk(chunk, mix, keys, result)
-                self._execute_chunk(plan, result)
-                remaining -= chunk
-            self._flush_inserts()
-            return result
+        per_op = (
+            phase.max_seconds is not None
+            or getattr(self.db, "autopilot_engine", None) is not None
+        )
+        chunk_size = 1 if per_op else self.spec.op_chunk
         started = self.metrics.clock.now
-        for _ in range(phase.ops):
+        remaining = phase.ops
+        while remaining > 0:
             if (
                 phase.max_seconds is not None
                 and self.metrics.clock.now - started >= phase.max_seconds
             ):
                 break
-            self._execute_op(mix.choose(self.rng), keys, result)
+            chunk = min(chunk_size, remaining)
+            plan = self._draw_chunk(chunk, mix, keys, result)
+            self._execute_chunk(plan, result, batched=not per_op)
+            remaining -= chunk
         self._flush_inserts()
         return result
-
-    # ------------------------------------------------- batched traffic chunks
 
     def _draw_chunk(
         self, count: int, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
     ) -> List[Tuple[str, Any]]:
         """Draw ``count`` ops worth of randomness into an action plan.
 
-        Consumes the driver RNG in *exactly* the order the per-op loop does —
-        op draw, then key draw, then (at insert-buffer flush points) the next
-        jittered batch-target draw — so the batched pipeline sees the same
-        key/op stream, bit for bit.  Execution performs no RNG draws, which
-        is what makes separating "draw" from "do" safe.
+        Consumes the driver RNG op by op — op draw, then key draw, then (at
+        insert-buffer flush points) the next jittered batch-target draw — so
+        the stream is the same whatever the chunk size.  Execution performs
+        no RNG draws, which is what makes separating "draw" from "do" safe.
 
         The plan is a list of actions: ``("read", key)``, ``("scan", low)``,
         ``("update", row)``, ``("delete", key)``, ``("buffer", row)`` for a
-        buffered insert, and ``("flush", next_batch_target)`` where the old
-        loop would have flushed the insert buffer and redrawn the target.
+        buffered insert, and ``("flush", next_batch_target)`` where the
+        insert buffer is flushed and the batch target redrawn.
         """
         rng = self.rng
         choose = mix.choose
@@ -477,9 +471,9 @@ class WorkloadDriver:
                 pending += 1
                 result.inserts += 1
                 if pending >= batch_target:
-                    # The old loop flushed here and redrew the jittered batch
-                    # target right after the insert landed; the draw happens
-                    # now (same RNG position), the insert at execution time.
+                    # The buffer flushes right after this insert lands; the
+                    # target redraw happens now (same RNG position), the
+                    # insert at execution time.
                     batch_target = self._draw_batch_target()
                     plan.append(("flush", batch_target))
                     pending = 0
@@ -497,82 +491,55 @@ class WorkloadDriver:
                 raise ValueError(f"unknown operation {op!r}")
         return plan
 
-    def _execute_chunk(self, plan: List[Tuple[str, Any]], result: PhaseResult) -> None:
-        """Execute a drawn plan, dispatching maximal same-verb runs as batches.
+    def _execute_chunk(
+        self, plan: Sequence[Tuple[str, Any]], result: PhaseResult, batched: bool
+    ) -> None:
+        """Execute a drawn plan in order — the driver's only executor.
 
-        Consecutive reads go through :meth:`Dataset.get_many` and consecutive
-        updates through :meth:`Dataset.upsert_each` — one ``op.batch``
-        telemetry event per run, identical per-op latencies.  Ops stay in
-        drawn order, so storage state (and therefore every latency sample)
-        evolves exactly as under the per-op loop.
+        ``batched`` dispatches maximal same-verb runs as batches: reads
+        through :meth:`Dataset.get_many` and updates through
+        :meth:`Dataset.upsert_each`, one ``op.batch`` telemetry event per run
+        with identical per-op latencies.  Without it every read is a
+        :meth:`Dataset.get` and every update an ``upsert([row])``, each
+        emitting its own ``op.*`` event.  Ops stay in drawn order either
+        way, so storage state (and every latency sample) evolves the same.
         """
         dataset = self.dataset
         index = 0
         total = len(plan)
         while index < total:
             verb, arg = plan[index]
+            end = index + 1
             if verb == "read":
-                end = index + 1
-                while end < total and plan[end][0] == "read":
-                    end += 1
-                read_keys = [plan[i][1] for i in range(index, end)]
-                for record in dataset.get_many(read_keys):
+                if batched:
+                    while end < total and plan[end][0] == "read":
+                        end += 1
+                    records = dataset.get_many([plan[i][1] for i in range(index, end)])
+                else:
+                    records = [dataset.get(arg)]
+                for record in records:
                     if record is not None:
                         result.reads_found += 1
-                index = end
             elif verb == "update":
-                end = index + 1
-                while end < total and plan[end][0] == "update":
-                    end += 1
-                dataset.upsert_each([plan[i][1] for i in range(index, end)])
-                index = end
+                if batched:
+                    while end < total and plan[end][0] == "update":
+                        end += 1
+                    dataset.upsert_each([plan[i][1] for i in range(index, end)])
+                else:
+                    dataset.upsert([arg], batch_size=1)
             elif verb == "buffer":
                 self._pending_rows.append(arg)
-                index += 1
             elif verb == "flush":
                 rows, self._pending_rows = self._pending_rows, []
                 if rows:
                     dataset.insert(rows, batch_size=len(rows))
                 self._batch_target = arg
-                index += 1
             elif verb == "delete":
                 dataset.delete(arg)
-                index += 1
             else:  # scan
                 rows = list(dataset.scan(low=arg, high=arg + self.spec.scan_span))
                 result.scan_rows += len(rows)
-                index += 1
-
-    def _execute_op(self, op: str, keys: KeyGenerator, result: PhaseResult) -> None:
-        dataset = self.dataset
-        result.ops += 1
-        if op == "read":
-            key = keys.next_index(self.rng, self.durable_keys)
-            record = dataset.get(key)
-            result.reads += 1
-            if record is not None:
-                result.reads_found += 1
-        elif op == "insert":
-            self._pending_rows.append(self._row(self.next_key))
-            self.next_key += 1
-            result.inserts += 1
-            if len(self._pending_rows) >= self._batch_target:
-                self._flush_inserts()
-        elif op == "update":
-            key = keys.next_index(self.rng, self.durable_keys)
-            dataset.upsert([self._row(key)], batch_size=1)
-            result.updates += 1
-        elif op == "delete":
-            key = keys.next_index(self.rng, self.durable_keys)
-            dataset.delete(key)
-            result.deletes += 1
-        elif op == "scan":
-            low = keys.next_index(self.rng, self.durable_keys)
-            rows = list(dataset.scan(low=low, high=low + self.spec.scan_span))
-            result.scans += 1
-            result.scan_rows += len(rows)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown operation {op!r}")
+            index = end
 
     def _flush_inserts(self) -> None:
         if not self._pending_rows:
@@ -586,7 +553,7 @@ class WorkloadDriver:
 
     def _draw_rebalance_plan(
         self, phase: Phase, mix: OperationMix, keys: KeyGenerator, result: PhaseResult
-    ) -> Tuple[List[Dict[str, Any]], List[Tuple[str, int]]]:
+    ) -> Tuple[List[Dict[str, Any]], Deque[Tuple[str, int]]]:
         """Partition the phase's draws into replicated writes and foreground.
 
         Writes ride the replication path, reads/scans execute mid-protocol.
@@ -603,7 +570,7 @@ class WorkloadDriver:
         """
         durable = self.durable_keys
         write_rows: List[Dict[str, Any]] = []
-        foreground: List[Tuple[str, int]] = []
+        foreground: Deque[Tuple[str, int]] = deque()
         for _ in range(phase.ops):
             op = mix.choose(self.rng)
             result.ops += 1
@@ -617,68 +584,84 @@ class WorkloadDriver:
                 result.updates += 1
             elif op == "scan":
                 foreground.append(("scan", keys.next_index(self.rng, durable)))
+                result.scans += 1
             else:
                 foreground.append(("read", keys.next_index(self.rng, durable)))
+                result.reads += 1
         return write_rows, foreground
 
-    def _run_rebalance_foreground(
-        self, pending: List[Tuple[str, int]], count: int, result: PhaseResult
+    def _run_foreground(
+        self, queue: Deque[Tuple[str, int]], count: int, result: PhaseResult
     ) -> None:
-        """Execute up to ``count`` queued foreground reads/scans, in order."""
-        dataset = self.dataset
-        for _ in range(min(count, len(pending))):
-            op, key = pending.pop(0)
-            if op == "scan":
-                rows = list(dataset.scan(low=key, high=key + self.spec.scan_span))
-                result.scans += 1
-                result.scan_rows += len(rows)
-            else:
-                record = dataset.get(key)
-                result.reads += 1
-                if record is not None:
-                    result.reads_found += 1
+        """Execute the next ``count`` queued foreground reads/scans, in order."""
+        plan = [queue.popleft() for _ in range(min(count, len(queue)))]
+        self._execute_chunk(plan, result, batched=False)
 
     def _run_rebalance_phase(self, phase: Phase) -> PhaseResult:
+        """Draw the phase's plan, then resize while the foreground drains.
+
+        The legacy consumer runs the queued reads/scans inside the protocol's
+        ``rebalance.phase`` events; the interleaved one paces them across the
+        bucket-move windows of an event-scheduler actor.  Either way,
+        foreground ops the protocol produced no window for (e.g. a strategy
+        that emits no phase events) execute afterwards, tagged with the phase
+        the registry is in by then.
+        """
         assert phase.rebalance is not None
-        if self.scheduler is not None:
-            return self._run_rebalance_phase_interleaved(phase)
         mix = make_mix(phase.mix) if phase.mix is not None else self._mix
         keys = self._phase_keys(phase)
         result = PhaseResult(name=phase.name)
         self._flush_inserts()
         write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
-        pending = list(foreground)
+        # Phase-scheduled rebalances are exempt from chaos crash plans (like
+        # autopilot ones): scheduled kills target the scenario's explicit
+        # rebalance steps, which can pair with a recover step.
+        request: Dict[str, Any] = {
+            **phase.rebalance,
+            "concurrent_rows": {self.spec.dataset: write_rows} if write_rows else None,
+            "arm_chaos": False,
+        }
+        if self.scheduler is None:
+            self._rebalance_legacy(request, foreground, result)
+        else:
+            self._rebalance_interleaved(phase.name, request, foreground, result)
+        self._run_foreground(foreground, len(foreground), result)
+        return result
+
+    def _rebalance_legacy(
+        self,
+        request: Dict[str, Any],
+        foreground: Deque[Tuple[str, int]],
+        result: PhaseResult,
+    ) -> None:
+        """Run the resize to completion, draining the foreground in its events.
+
+        Half the queued ops run after initialization and the rest after data
+        movement — both points are genuinely mid-rebalance (the directory
+        swap and bucket cleanup happen at commit, so the sources still serve;
+        finalization fires after the commit).
+        """
 
         def on_protocol_phase(event: Any) -> None:
-            # Run half the foreground ops after initialization and the rest
-            # after data movement — both points are genuinely mid-rebalance
-            # (the directory swap and bucket cleanup happen at commit, so the
-            # sources still serve; finalization fires after the commit).
             if event.get("phase") == "initialization":
-                self._run_rebalance_foreground(pending, (len(pending) + 1) // 2, result)
+                self._run_foreground(foreground, (len(foreground) + 1) // 2, result)
             elif event.get("phase") == "data_movement":
-                self._run_rebalance_foreground(pending, len(pending), result)
+                self._run_foreground(foreground, len(foreground), result)
 
         subscription = self.db.on("rebalance.phase", on_protocol_phase)
         try:
-            # Phase-scheduled rebalances are exempt from chaos crash plans
-            # (like autopilot ones): scheduled kills target the scenario's
-            # explicit rebalance steps, which can pair with a recover step.
-            result.rebalance_report = self.db.rebalance(
-                **dict(phase.rebalance),
-                concurrent_rows={self.spec.dataset: write_rows} if write_rows else None,
-                arm_chaos=False,
-            )
+            result.rebalance_report = self.db.rebalance(**request)
         finally:
             subscription.cancel()
-        # Foreground ops the protocol produced no window for (e.g. a strategy
-        # that emits no phase events) still execute, tagged with the phase the
-        # registry is in by then.
-        self._run_rebalance_foreground(pending, len(pending), result)
-        return result
 
-    def _run_rebalance_phase_interleaved(self, phase: Phase) -> PhaseResult:
-        """The rebalance phase as an event-scheduler actor.
+    def _rebalance_interleaved(
+        self,
+        name: str,
+        request: Dict[str, Any],
+        foreground: Deque[Tuple[str, int]],
+        result: PhaseResult,
+    ) -> None:
+        """Run the resize as an event-scheduler actor.
 
         The protocol is consumed segment by segment through
         :meth:`~repro.api.database.Database.rebalance_steps`; after each
@@ -687,24 +670,12 @@ class WorkloadDriver:
         and drains the rest inside the trailing concurrent-writes window —
         the last interleavable point before the commit swaps the directory.
         Strategies with no interleavable windows (the offline ``Hashing``
-        baseline, aborted runs) fall through to the post-protocol drain,
-        mirroring the legacy no-phase-events path.
+        baseline, aborted runs) leave the queue to the post-protocol drain.
         """
-        assert phase.rebalance is not None and self.scheduler is not None
-        mix = make_mix(phase.mix) if phase.mix is not None else self._mix
-        keys = self._phase_keys(phase)
-        result = PhaseResult(name=phase.name)
-        self._flush_inserts()
-        write_rows, foreground = self._draw_rebalance_plan(phase, mix, keys, result)
-        pending = list(foreground)
-        scheduler = self.scheduler
+        assert self.scheduler is not None
 
         def rebalance_actor() -> Any:
-            steps = self.db.rebalance_steps(
-                **dict(phase.rebalance),
-                concurrent_rows={self.spec.dataset: write_rows} if write_rows else None,
-                arm_chaos=False,
-            )
+            steps = self.db.rebalance_steps(**request)
             try:
                 segment = next(steps)
                 while True:
@@ -713,22 +684,18 @@ class WorkloadDriver:
                     # reaches the end of the window.
                     yield segment
                     kind = getattr(segment, "kind", None)
-                    if kind == "move" and pending:
+                    if kind == "move" and foreground:
                         windows = getattr(segment, "remaining", 0) + 1
-                        quota = -(-len(pending) // windows)
-                        self._run_rebalance_foreground(pending, quota, result)
+                        quota = -(-len(foreground) // windows)
+                        self._run_foreground(foreground, quota, result)
                     elif kind == "concurrent_writes":
-                        self._run_rebalance_foreground(pending, len(pending), result)
+                        self._run_foreground(foreground, len(foreground), result)
                     segment = next(steps)
             except StopIteration as done:
                 result.rebalance_report = done.value
 
-        scheduler.spawn(f"rebalance:{phase.name}", rebalance_actor())
-        scheduler.run()
-        # Foreground ops the protocol produced no window for still execute,
-        # tagged with the phase the registry is in by then.
-        self._run_rebalance_foreground(pending, len(pending), result)
-        return result
+        self.scheduler.spawn(f"rebalance:{name}", rebalance_actor())
+        self.scheduler.run()
 
 
 def run_workload(

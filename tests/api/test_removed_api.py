@@ -1,10 +1,12 @@
-"""The PR 1 deprecation cycle is finished: the legacy shims are *gone*.
+"""Removed public names stay removed.
 
 ``SimulatedCluster.ingest`` / ``.lookup`` and the bench helper
 ``build_loaded_cluster`` spent two releases emitting ``DeprecationWarning``;
 this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
-paths raise deprecation warnings anymore.
+paths raise deprecation warnings anymore.  It also pins the second code paths
+folded away since: the driver's per-op loop and ``batch_ops`` knob, and the
+hand-built traffic/autopilot bench experiments.
 """
 
 import warnings
@@ -74,6 +76,48 @@ class TestShimsRemoved:
             )
             for key in (0, 123, 499, 10_000):
                 assert low_level.point_lookup("orders", key) == orders.get(key)
+
+
+class TestSecondPathsRemoved:
+    """The driver has one executor and the traffic benches run scenario specs.
+
+    The per-op loop and its ``batch_ops`` selector folded into the chunked
+    executor (the phase kind now decides whether same-verb runs batch), and
+    the hand-built traffic/autopilot experiments gave way to the committed
+    ``traffic_storm`` / ``autopilot_storm`` specs.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "run_traffic_experiment",
+            "run_autopilot_experiment",
+            "TrafficExperimentResult",
+            "AutopilotExperimentResult",
+        ],
+    )
+    def test_hand_built_bench_experiments_are_gone(self, name):
+        import repro.bench
+        import repro.bench.experiments
+
+        assert not hasattr(repro.bench, name)
+        assert not hasattr(repro.bench.experiments, name)
+
+    @pytest.mark.parametrize("name", ["_execute_op", "_use_batched_pipeline"])
+    def test_driver_per_op_loop_is_gone(self, name):
+        from repro.api import WorkloadDriver
+
+        assert not hasattr(WorkloadDriver, name)
+
+    def test_batch_ops_knob_is_gone(self):
+        from repro.api import WorkloadSpec
+        from repro.scenario import ScenarioSpecError
+        from repro.scenario.spec import WorkloadSection
+
+        with pytest.raises(TypeError):
+            WorkloadSpec(batch_ops=True)
+        with pytest.raises(ScenarioSpecError, match="batch_ops"):
+            WorkloadSection.from_mapping({"batch_ops": True})
 
 
 class TestNoDeprecationWarnings:

@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.bench import (
+    FULL,
+    SCENARIO_SUITES,
     SMOKE,
     BenchScale,
     make_strategy,
@@ -12,11 +14,15 @@ from repro.bench import (
     run_ingestion_experiment,
     run_query_experiment,
     run_scaling_experiment,
-    run_traffic_experiment,
+    run_scenario_suite,
+    scenario_at_scale,
+    traffic_artifact_payload,
 )
+from repro.bench.experiments import SCENARIO_DIR
 from repro.metrics import PHASE_REBALANCE, PHASE_STEADY
 from repro.bench.reporting import format_table, markdown_table, per_query_table, series_table
 from repro.rebalance import DynaHashStrategy, GlobalHashingStrategy, StaticHashStrategy
+from repro.scenario import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -87,31 +93,44 @@ class TestExperimentDrivers:
         assert set(result.seconds["DynaHash"]) == {"q1", "q6", "q18"}
         assert result.seconds["DynaHash"]["q18"] >= result.seconds["Hashing"]["q18"]
 
-    def test_traffic_experiment_reports_phase_tagged_percentiles(self, tiny_scale):
-        result = run_traffic_experiment(
-            tiny_scale,
-            num_nodes=2,
-            initial_records=200,
-            warmup=30,
-            steady=80,
-            spike=80,
-            ramp=30,
-        )
-        assert result.total_ops == 220
-        assert result.write_p99_ms[PHASE_REBALANCE] >= result.write_p99_ms[PHASE_STEADY]
+    def test_traffic_experiment_reports_phase_tagged_percentiles(self):
+        result = run_scenario_suite("traffic", SMOKE)
+        assert result.passed
+        assert result.total_ops == 900
+        p99 = result.write_p99_seconds
+        assert p99[PHASE_REBALANCE] >= p99[PHASE_STEADY]
         assert result.snapshot.histogram_count("update", PHASE_REBALANCE) > 0
-        assert "rebalance" in result.table()
-        # Same scale, same seed: the whole experiment is deterministic.
-        again = run_traffic_experiment(
-            tiny_scale,
-            num_nodes=2,
-            initial_records=200,
-            warmup=30,
-            steady=80,
-            spike=80,
-            ramp=30,
-        )
+        assert "rebalance" in result.metrics_report
+        payload = traffic_artifact_payload("traffic_storm", result)
+        assert payload["total_ops"] == 900
+        assert payload["write_p99_ms"][PHASE_REBALANCE] == p99[PHASE_REBALANCE] * 1e3
+        assert payload["op_phase_percentiles"]["update[rebalance]"]["count"] > 0
+        # Same scale, same seed: the whole run is deterministic.
+        again = run_scenario_suite("traffic", SMOKE)
         assert again.snapshot == result.snapshot
+
+
+class TestScenarioSuites:
+    @pytest.mark.parametrize("name", sorted(SCENARIO_SUITES.values()))
+    def test_smoke_runs_the_spec_as_written(self, name):
+        path = SCENARIO_DIR / f"{name}.toml"
+        written = load_scenario(path)
+        assert scenario_at_scale(path, SMOKE).cluster.build_config() == (
+            written.cluster.build_config()
+        )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_SUITES.values()))
+    def test_full_puts_the_full_cluster_shape_on_the_spec(self, name):
+        path = SCENARIO_DIR / f"{name}.toml"
+        written = load_scenario(path)
+        spec = scenario_at_scale(path, FULL)
+        config = spec.cluster.build_config()
+        assert config.partitions_per_node == FULL.partitions_per_node
+        assert config.lsm.memory_component_bytes == FULL.memory_component_bytes
+        assert config.bucketing.max_bucket_bytes == FULL.max_bucket_bytes
+        assert config.num_nodes == written.cluster.nodes
+        assert spec.workload == written.workload
+        assert spec.checks == written.checks
 
 
 class TestReporting:

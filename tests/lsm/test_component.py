@@ -149,6 +149,42 @@ class TestDiskComponent:
         assert [e.key for e in comp.entries()] == [(1, "a"), (1, "b"), (2, "a")]
 
 
+class TestDiskComponentScanCost:
+    """Range scans bisect to their bounds: keys visited ~ result + log n."""
+
+    @pytest.fixture
+    def counted_sort_keys(self, monkeypatch):
+        import repro.lsm.component as component_module
+
+        calls = []
+        original = component_module._sort_key
+
+        def counting(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(component_module, "_sort_key", counting)
+        return calls
+
+    @pytest.mark.parametrize("low, high", [(0, 9), (2_000, 2_015), (4_090, 5_000), (-5, -1)])
+    def test_scan_visits_result_plus_log_entries(self, counted_sort_keys, low, high):
+        count = 4_096
+        comp = DiskComponent(make_entries(range(0, 2 * count, 2)))
+        counted_sort_keys.clear()
+        result = [e.key for e in comp.scan(low, high)]
+        assert result == [k for k in range(0, 2 * count, 2) if low <= k <= high]
+        log_n = count.bit_length()
+        # Two bisections of ~log2(n) probes each, plus one call per bound.
+        assert len(counted_sort_keys) <= 2 * (log_n + 2)
+
+    def test_scan_matches_filter_on_tuple_keys(self):
+        keys = [(a, b) for a in range(20) for b in "abc"]
+        comp = DiskComponent(make_entries(reversed(keys)))
+        assert [e.key for e in comp.scan((3, "b"), (5, "a"))] == [
+            k for k in sorted(keys) if (3, "b") <= k <= (5, "a")
+        ]
+
+
 class TestReferenceDiskComponent:
     def _split_pair(self, keys, depth=1):
         """Build a parent component and the two depth-``depth`` references."""

@@ -1,12 +1,16 @@
-"""Tests for the batched op pipeline of the workload driver (PR 4).
+"""Tests for the workload driver's one executor and its two phase shapes.
 
-The batched pipeline (chunked RNG draws, cached bound verbs, ``op.batch``
-telemetry) must be observationally identical to the per-op loop it replaced:
-same key/op stream off the seeded RNG, same metric snapshots, same phase op
-counts.  These tests pin that equivalence and the pipeline-selection rules.
+Plain traffic phases draw and execute chunks of ``op_chunk`` ops, batching
+same-verb runs (one ``op.batch`` telemetry event per run).  Phases with an
+autopilot attached or a ``max_seconds`` budget keep exact op positions: they
+run chunks of one op through the per-op verbs, one ``op.*`` event per op.
+Both shapes must be observationally identical — same key/op stream off the
+seeded RNG, same metric snapshots, same phase op counts — and these tests pin
+that equivalence and which telemetry each shape emits.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +20,10 @@ from repro.workload.driver import PhaseResult
 from repro.workload.keygen import ZipfianKeys
 from repro.workload.mixes import make_mix
 
+#: A ``max_seconds`` budget no test phase comes near: it only switches the
+#: phase to op-by-op execution.
+NON_BINDING = 1e9
+
 
 def open_db():
     return Database(
@@ -23,47 +31,67 @@ def open_db():
     )
 
 
-def run_spec(**overrides):
+def run_spec(max_seconds=None, **overrides):
+    """Run one steady phase of 500 ops (or ``overrides["schedule"]``); with
+    ``max_seconds`` every phase of the schedule gets that budget."""
+    schedule = overrides.pop("schedule", Schedule((Phase(name="steady", ops=500),)))
+    if max_seconds is not None:
+        schedule = Schedule(
+            tuple(
+                phase if phase.rebalance else replace(phase, max_seconds=max_seconds)
+                for phase in schedule
+            )
+        )
     db = open_db()
-    spec = WorkloadSpec(dataset="t", initial_records=400, default_ops=500, **overrides)
+    spec = WorkloadSpec(dataset="t", initial_records=400, schedule=schedule, **overrides)
     report = WorkloadDriver(db, spec).run()
     snapshot = report.snapshot
     db.close()
     return report, snapshot
 
 
+def emitted_op_events(db, schedule):
+    """Names of the ``op.*`` events one driver run emits."""
+    seen = []
+    db.on("op.*", lambda event: seen.append(event.name))
+    WorkloadDriver(db, WorkloadSpec(dataset="t", initial_records=200, schedule=schedule)).run()
+    return seen
+
+
 class TestBatchedEqualsLegacy:
+    """Batched chunks equal the op-by-op shape a non-binding budget selects."""
+
     @pytest.mark.parametrize("mix", ["A", "B", "D", "E"])
     def test_same_seed_same_snapshot_across_pipelines(self, mix):
-        batched_report, batched = run_spec(mix=mix, batch_ops=True)
-        legacy_report, legacy = run_spec(mix=mix, batch_ops=False)
-        assert batched == legacy
-        assert batched_report.total_ops == legacy_report.total_ops
-        for batched_phase, legacy_phase in zip(
-            batched_report.phases, legacy_report.phases, strict=True
+        batched_report, batched = run_spec(mix=mix)
+        per_op_report, per_op = run_spec(mix=mix, max_seconds=NON_BINDING)
+        assert batched == per_op
+        assert batched_report.total_ops == per_op_report.total_ops
+        for batched_phase, per_op_phase in zip(
+            batched_report.phases, per_op_report.phases, strict=True
         ):
-            assert batched_phase.ops == legacy_phase.ops
-            assert batched_phase.reads == legacy_phase.reads
-            assert batched_phase.reads_found == legacy_phase.reads_found
-            assert batched_phase.inserts == legacy_phase.inserts
-            assert batched_phase.updates == legacy_phase.updates
-            assert batched_phase.scans == legacy_phase.scans
-            assert batched_phase.scan_rows == legacy_phase.scan_rows
+            assert batched_phase.ops == per_op_phase.ops
+            assert batched_phase.reads == per_op_phase.reads
+            assert batched_phase.reads_found == per_op_phase.reads_found
+            assert batched_phase.inserts == per_op_phase.inserts
+            assert batched_phase.updates == per_op_phase.updates
+            assert batched_phase.scans == per_op_phase.scans
+            assert batched_phase.scan_rows == per_op_phase.scan_rows
 
     def test_equivalence_with_deletes_in_mix(self):
         from repro.workload import OperationMix
 
         mix = OperationMix(name="crud", read=0.4, insert=0.2, update=0.2, delete=0.2)
-        batched_report, batched = run_spec(mix=mix, batch_ops=True)
-        legacy_report, legacy = run_spec(mix=mix, batch_ops=False)
-        assert batched == legacy
+        batched_report, batched = run_spec(mix=mix)
+        per_op_report, per_op = run_spec(mix=mix, max_seconds=NON_BINDING)
+        assert batched == per_op
         assert (
-            batched_report.phases[0].deletes == legacy_report.phases[0].deletes > 0
+            batched_report.phases[0].deletes == per_op_report.phases[0].deletes > 0
         )
 
     def test_tiny_chunk_still_equivalent(self):
-        _, chunked = run_spec(mix="A", batch_ops=True, op_chunk=3)
-        _, wide = run_spec(mix="A", batch_ops=True, op_chunk=4096)
+        _, chunked = run_spec(mix="A", op_chunk=3)
+        _, wide = run_spec(mix="A", op_chunk=4096)
         assert chunked == wide
 
     def test_rebalance_schedule_equivalent_across_pipelines(self):
@@ -74,9 +102,12 @@ class TestBatchedEqualsLegacy:
                 Phase(name="cool", ops=120),
             )
         )
-        _, batched = run_spec(mix="A", schedule=schedule, batch_ops=True)
-        _, legacy = run_spec(mix="A", schedule=schedule, batch_ops=False)
-        assert batched == legacy
+        batched_report, batched = run_spec(mix="A", schedule=schedule)
+        per_op_report, per_op = run_spec(mix="A", schedule=schedule, max_seconds=NON_BINDING)
+        assert batched == per_op
+        resize = batched_report.phase("resize")
+        assert resize.reads + resize.updates == resize.ops == 120
+        assert resize.reads == per_op_report.phase("resize").reads
 
 
 class TestDrawStream:
@@ -139,57 +170,38 @@ class TestDrawStream:
 
 
 class TestPipelineSelection:
+    """Which telemetry each phase shape emits — the observable selection."""
+
     def test_auto_batches_without_autopilot(self):
         db = open_db()
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert driver._use_batched_pipeline(Phase(name="p", ops=10))
+        seen = emitted_op_events(db, Schedule((Phase(name="p", ops=200),)))
+        assert "op.batch" in seen
         db.close()
 
     def test_max_seconds_falls_back_to_per_op_loop(self):
         db = open_db()
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert not driver._use_batched_pipeline(
-            Phase(name="p", ops=10, max_seconds=1.0)
+        seen = emitted_op_events(
+            db, Schedule((Phase(name="p", ops=200, max_seconds=NON_BINDING),))
         )
+        assert "op.batch" not in seen
+        assert seen.count("op.read") > 0
         db.close()
 
     def test_autopilot_session_falls_back_to_per_op_loop(self):
         db = open_db()
         db.create_dataset("t", primary_key="k")
         db.autopilot(policy="threshold", check_every_ops=50)
-        driver = WorkloadDriver(db, WorkloadSpec(dataset="t", default_ops=10))
-        assert not driver._use_batched_pipeline(Phase(name="p", ops=10))
+        seen = emitted_op_events(db, Schedule((Phase(name="p", ops=200),)))
+        assert "op.batch" not in seen
+        assert seen.count("op.read") > 0
         db.close()
 
-    def test_explicit_batch_ops_overrides_auto(self):
-        db = open_db()
-        db.create_dataset("t", primary_key="k")
-        db.autopilot(policy="threshold", check_every_ops=50)
-        driver = WorkloadDriver(
-            db, WorkloadSpec(dataset="t", default_ops=10, batch_ops=True)
-        )
-        assert driver._use_batched_pipeline(Phase(name="p", ops=10))
-        db.close()
-
-    def test_max_seconds_wins_over_explicit_batch_ops(self):
-        # A time-budgeted phase checks the clock before every op; even an
-        # explicit batch_ops=True must not bypass that cutoff.
-        db = open_db()
-        driver = WorkloadDriver(
-            db, WorkloadSpec(dataset="t", default_ops=10, batch_ops=True)
-        )
-        assert not driver._use_batched_pipeline(
-            Phase(name="p", ops=10, max_seconds=1.0)
-        )
-        db.close()
-
-    def test_max_seconds_cutoff_respected_with_batch_ops_true(self):
+    def test_max_seconds_cutoff_respected(self):
         db = open_db()
         spec = WorkloadSpec(
             dataset="t",
             initial_records=200,
             mix="C",
-            batch_ops=True,
             schedule=Schedule((Phase(name="budget", ops=100_000, max_seconds=1e-4),)),
         )
         report = WorkloadDriver(db, spec).run()
