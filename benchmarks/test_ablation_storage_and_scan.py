@@ -11,7 +11,7 @@
 from conftest import print_figure
 
 from repro.bench import format_table
-from repro.bucketed import BucketedLSMTree, ScanMode
+from repro.bucketed import BucketedLSMTree
 from repro.bucketed.scan import estimate_merge_comparisons
 from repro.common.config import BucketingConfig, LSMConfig
 from repro.hashing.bucket_id import ROOT_BUCKET, BucketId
@@ -64,8 +64,8 @@ def test_ablation_scan_modes(benchmark):
         rows = []
         for buckets in (4, 16):
             tree = _build_tree(num_buckets=buckets, rows=3000)
-            unordered = sum(1 for _ in tree.scan(mode=ScanMode.UNORDERED))
-            ordered = sum(1 for _ in tree.scan(mode=ScanMode.ORDERED))
+            unordered = sum(1 for _ in tree.scan(ordered=False))
+            ordered = sum(1 for _ in tree.scan(ordered=True))
             assert unordered == ordered
             comparisons = estimate_merge_comparisons(buckets, ordered)
             rows.append([buckets, ordered, comparisons])

@@ -25,11 +25,11 @@ Quickstart (the :mod:`repro.api` client surface)::
         report = db.remove_nodes(1)    # online rebalance
         print(report.simulated_seconds)
 
-The legacy ``SimulatedCluster.ingest``/``.lookup`` calls keep working but emit
-``DeprecationWarning``; see :mod:`repro.api` for the supported verbs.
+The legacy ``SimulatedCluster.ingest``/``.lookup`` calls are gone; see
+:mod:`repro.api` for the supported verbs.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.3.0"
 
 from .common import BucketingConfig, ClusterConfig, CostModelConfig, LSMConfig
 

@@ -4,32 +4,21 @@
 * :class:`BucketedLSMTree` — a partition's primary index: a local directory of
   buckets with LSM semantics plus bucket-granular rebalance operations.
 * :func:`split_bucket` / :class:`SplitResult` — Algorithm 1.
-* :class:`ScanMode`, :func:`choose_scan_mode` — the unordered vs merge-sorted
-  primary-key scan rule.
+* :func:`unordered_scan` / :func:`ordered_scan` — the per-bucket vs
+  merge-sorted primary-key scans.
 """
 
 from .bucket import Bucket
-from .bucketed_lsm import BucketedLSMTree, MaintenanceReport
-from .scan import (
-    ScanMode,
-    choose_scan_mode,
-    estimate_merge_comparisons,
-    ordered_scan,
-    scan_with_mode,
-    unordered_scan,
-)
+from .bucketed_lsm import BucketedLSMTree
+from .scan import estimate_merge_comparisons, ordered_scan, unordered_scan
 from .split import SplitResult, split_bucket
 
 __all__ = [
     "Bucket",
     "BucketedLSMTree",
-    "MaintenanceReport",
-    "ScanMode",
     "SplitResult",
-    "choose_scan_mode",
     "estimate_merge_comparisons",
     "ordered_scan",
-    "scan_with_mode",
     "split_bucket",
     "unordered_scan",
 ]

@@ -114,9 +114,6 @@ class Bucket(ReferenceCounted):
     def flush(self) -> Optional[DiskComponent]:
         return self.tree.flush()
 
-    def maybe_flush(self) -> Optional[DiskComponent]:
-        return self.tree.maybe_flush()
-
     def maybe_merge(self) -> Optional[DiskComponent]:
         return self.tree.maybe_merge()
 

@@ -11,7 +11,6 @@ configured maximum size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..common.config import BucketingConfig, LSMConfig
@@ -24,28 +23,8 @@ from ..lsm.manifest import Manifest
 from ..lsm.merge_policy import MergePolicy
 from ..lsm.stats import StorageStats
 from .bucket import Bucket
-from .scan import ScanMode, choose_scan_mode, scan_with_mode
+from .scan import ordered_scan, unordered_scan
 from .split import SplitResult, split_bucket
-
-
-@dataclass
-class MaintenanceReport:
-    """Work performed by one maintenance pass (flushes, merges, splits)."""
-
-    flush_bytes: int = 0
-    merge_read_bytes: int = 0
-    merge_write_bytes: int = 0
-    splits: List[SplitResult] = field(default_factory=list)
-
-    @property
-    def split_count(self) -> int:
-        return len(self.splits)
-
-    def merge_into(self, other: "MaintenanceReport") -> None:
-        other.flush_bytes += self.flush_bytes
-        other.merge_read_bytes += self.merge_read_bytes
-        other.merge_write_bytes += self.merge_write_bytes
-        other.splits.extend(self.splits)
 
 
 class BucketedLSMTree:
@@ -85,17 +64,15 @@ class BucketedLSMTree:
     def _make_policy(self) -> Optional[MergePolicy]:
         return self._merge_policy_factory() if self._merge_policy_factory else None
 
-    def _create_bucket(self, bucket_id: BucketId) -> Bucket:
-        bucket = Bucket(
-            bucket_id,
-            config=self.lsm_config,
-            merge_policy=self._make_policy(),
-            index_name=self.name,
+    def _create_bucket(self, bucket_id: BucketId) -> None:
+        self.adopt_bucket(
+            Bucket(
+                bucket_id,
+                config=self.lsm_config,
+                merge_policy=self._make_policy(),
+                index_name=self.name,
+            )
         )
-        self.directory.add_bucket(bucket_id)
-        self._buckets[bucket_id] = bucket
-        self.manifest.add_bucket(bucket_id.prefix, bucket_id.depth)
-        return bucket
 
     @property
     def bucket_ids(self) -> List[BucketId]:
@@ -183,17 +160,14 @@ class BucketedLSMTree:
         low: Any = None,
         high: Any = None,
         ordered: bool = False,
-        mode: Optional[ScanMode] = None,
     ) -> Iterator[Entry]:
         """Range scan over every bucket.
 
         ``ordered=False`` concatenates per-bucket scans (no extra overhead,
-        unsorted output); ``ordered=True`` merge-sorts them (q18-style).  An
-        explicit ``mode`` overrides the flag.
+        unsorted output); ``ordered=True`` merge-sorts them (q18-style).
         """
-        scan_mode = mode if mode is not None else choose_scan_mode(ordered)
         bucket_scans = [bucket.scan(low, high) for bucket in self.buckets()]
-        return scan_with_mode(bucket_scans, scan_mode)
+        return (ordered_scan if ordered else unordered_scan)(bucket_scans)
 
     # ----------------------------------------------------------- maintenance
 
@@ -206,30 +180,21 @@ class BucketedLSMTree:
                 total += component.size_bytes
         return total
 
-    def maintain(self, force_flush: bool = False) -> MaintenanceReport:
-        """Run one maintenance pass: flushes, merges, and (if enabled) splits.
+    def maintain(self) -> None:
+        """Run one merge-and-split pass over every bucket.
 
-        Called by the ingestion path after every batch of writes, mirroring
-        AsterixDB's background flush/merge scheduler.
+        Called by the partition's maintenance pass after every batch of
+        writes, once the partition has flushed (AsterixDB budgets memory
+        components per dataset partition, so flushing is decided there).
+        Splits land in :attr:`split_history`.
         """
-        report = MaintenanceReport()
         for bucket_id in list(self.directory.buckets):
             bucket = self._buckets.get(bucket_id)
             if bucket is None:
                 continue
-            flushed = bucket.flush() if force_flush else bucket.maybe_flush()
-            if flushed is not None:
-                report.flush_bytes += flushed.size_bytes
-            before = bucket.tree.stats.snapshot()
-            merged = bucket.maybe_merge()
-            if merged is not None:
-                delta = bucket.tree.stats.diff(before)
-                report.merge_read_bytes += delta.bytes_merged_read
-                report.merge_write_bytes += delta.bytes_merged_written
+            bucket.maybe_merge()
             if self._should_split(bucket):
-                result = self.split(bucket.bucket_id)
-                report.splits.append(result)
-        return report
+                self.split(bucket.bucket_id)
 
     def _should_split(self, bucket: Bucket) -> bool:
         if not self.splits_enabled or self.bucketing_config.static:
@@ -275,33 +240,9 @@ class BucketedLSMTree:
         bucket.flush()
         return bucket.snapshot_components()
 
-    def install_bucket(self, bucket_id: BucketId, entries: Iterable[Entry]) -> Bucket:
-        """Create a bucket from received rebalance data (destination side).
-
-        The bucket is registered in the local directory immediately but the
-        caller controls query visibility at the partition level (received
-        buckets are tracked separately until the rebalance commits).
-        Installing an already-present bucket is idempotent and returns the
-        existing one.
-        """
-        if bucket_id in self._buckets:
-            return self._buckets[bucket_id]
-        bucket = Bucket(
-            bucket_id,
-            config=self.lsm_config,
-            merge_policy=self._make_policy(),
-            index_name=self.name,
-        )
-        entry_list = list(entries)
-        if entry_list:
-            bucket.tree.add_loaded_component(entry_list)
-        self.directory.add_bucket(bucket_id)
-        self._buckets[bucket_id] = bucket
-        self.manifest.add_bucket(bucket_id.prefix, bucket_id.depth)
-        return bucket
-
     def adopt_bucket(self, bucket: Bucket) -> None:
-        """Register an externally constructed bucket object (receive path)."""
+        """Register a bucket object: an initial bucket, or one received by a
+        rebalance and adopted at commit.  Adopting a present id is a no-op."""
         if bucket.bucket_id in self._buckets:
             return
         self.directory.add_bucket(bucket.bucket_id)

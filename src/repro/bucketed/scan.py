@@ -11,35 +11,17 @@ key order.  Section IV describes two ways to serve a primary-key range scan:
 
 AsterixDB's optimizer picks the unordered mode unless a downstream operator
 (an ORDER BY, or a GROUP BY on a prefix of the primary key, as in TPC-H q18)
-needs key order; :func:`choose_scan_mode` encodes that rule so the query
-planner, the benchmarks and the ablation study all share it.
+needs key order; callers state that need as
+:meth:`~repro.bucketed.bucketed_lsm.BucketedLSMTree.scan`'s ``ordered`` flag.
 """
 
 from __future__ import annotations
 
 import heapq
-from enum import Enum
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from ..lsm.component import _sort_key
 from ..lsm.entry import Entry
-
-
-class ScanMode(Enum):
-    """How a bucketed primary-index scan orders its output."""
-
-    UNORDERED = "unordered"
-    ORDERED = "ordered"
-
-
-def choose_scan_mode(requires_primary_key_order: bool) -> ScanMode:
-    """AsterixDB's optimization rule for bucketed primary-index scans."""
-    return ScanMode.ORDERED if requires_primary_key_order else ScanMode.UNORDERED
-
-
-def _sort_key(key: Any) -> Tuple:
-    if isinstance(key, tuple):
-        return key
-    return (key,)
 
 
 def unordered_scan(bucket_scans: Sequence[Iterable[Entry]]) -> Iterator[Entry]:
@@ -72,13 +54,6 @@ def ordered_scan(bucket_scans: Sequence[Iterable[Entry]]) -> Iterator[Entry]:
             counter += 1
             break
         yield entry
-
-
-def scan_with_mode(bucket_scans: Sequence[Iterable[Entry]], mode: ScanMode) -> Iterator[Entry]:
-    """Dispatch to the requested scan mode."""
-    if mode is ScanMode.ORDERED:
-        return ordered_scan(bucket_scans)
-    return unordered_scan(bucket_scans)
 
 
 def estimate_merge_comparisons(bucket_count: int, total_records: int) -> int:

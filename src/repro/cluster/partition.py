@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..bucketed.bucket import Bucket
-from ..bucketed.bucketed_lsm import BucketedLSMTree, MaintenanceReport
+from ..bucketed.bucketed_lsm import BucketedLSMTree
 from ..common.config import BucketingConfig, LSMConfig
 from ..common.errors import StorageError
+from ..common.hashutil import hash_key
 from ..hashing.bucket_id import BucketId
 from ..lsm.entry import Entry
 from ..lsm.stats import StorageStats
@@ -118,25 +119,13 @@ class StoragePartition:
     ) -> Any:
         """Insert (or upsert) a record into every index of the partition.
 
-        ``primary_key`` lets callers that already extracted the key (the data
-        feed routes on it) skip a second extraction.
+        A one-row :meth:`insert_many`.  ``primary_key`` lets callers that
+        already extracted the key skip a second extraction.
         """
         self._check_not_blocked()
         if primary_key is None:
             primary_key = self.dataset.primary_key_of(record)
-        record_dict = dict(record)
-        self.primary.insert(primary_key, record_dict)
-        self.primary_key_index.insert(primary_key, None)
-        for spec in self.dataset.secondary_indexes:
-            index = self.secondary_indexes[spec.name]
-            index.insert(_secondary_entry_key(spec, record_dict, primary_key), spec.covered_value(record_dict))
-        if log:
-            self.wal.append(
-                LogRecordType.INSERT,
-                self.dataset.name,
-                self.partition_id,
-                {"key": primary_key, "value": record_dict},
-            )
+        self.insert_many([(primary_key, hash_key(primary_key), record)], log=log)
         return primary_key
 
     def insert_many(
@@ -146,12 +135,11 @@ class StoragePartition:
     ) -> int:
         """Insert a batch of ``(primary_key, key_hash, record)`` triples.
 
-        Equivalent to calling :meth:`insert` per record (same index writes,
-        same WAL records, same resulting state) with the per-call overhead —
-        blocked checks, method resolution, secondary-spec iteration setup,
-        key hashing — paid once per batch.  The data feed groups each routed
-        batch by partition and lands it through here, reusing the hash it
-        already computed for routing.
+        The partition's one write body: every index write and WAL record of
+        each row, with the per-call overhead — blocked checks, method
+        resolution, secondary-spec iteration setup — paid once per batch.
+        The data feed groups each routed batch by partition and lands it
+        through here, reusing the hash it already computed for routing.
         """
         self._check_not_blocked()
         primary_insert = self.primary.insert_routed
@@ -240,31 +228,24 @@ class StoragePartition:
     def memory_bytes(self) -> int:
         return sum(tree.memory.size_bytes for tree in self._all_trees())
 
-    def maintain(self, force_flush: bool = False) -> MaintenanceReport:
-        """Run the partition's flush/merge/split pass.
+    def maintain(self, force_flush: bool = False) -> None:
+        """Run the partition's flush/merge/split pass, the storage layer's
+        only maintenance pass.
 
         AsterixDB budgets memory components per dataset partition; when the
-        budget is exceeded the dataset's memory components are flushed.  After
+        budget is exceeded every index of the partition is flushed.  After
         flushing, each index runs its merge policy and the primary index may
-        split buckets that exceeded the maximum bucket size.
+        split buckets that exceeded the maximum bucket size.  The work done
+        shows in :meth:`stats_snapshot` and ``primary.split_history``.
         """
-        report = MaintenanceReport()
-        over_budget = self.memory_bytes >= self.lsm_config.memory_component_bytes
-        if force_flush or over_budget:
-            report.flush_bytes += self.primary.flush_all()
-            for tree in [self.primary_key_index, *self.secondary_indexes.values()]:
-                component = tree.flush()
-                if component is not None:
-                    report.flush_bytes += component.size_bytes
-        primary_report = self.primary.maintain(force_flush=False)
-        primary_report.merge_into(report)
-        for tree in [self.primary_key_index, *self.secondary_indexes.values()]:
-            before = tree.stats.snapshot()
-            if tree.maybe_merge() is not None:
-                delta = tree.stats.diff(before)
-                report.merge_read_bytes += delta.bytes_merged_read
-                report.merge_write_bytes += delta.bytes_merged_written
-        return report
+        unbucketed = [self.primary_key_index, *self.secondary_indexes.values()]
+        if force_flush or self.memory_bytes >= self.lsm_config.memory_component_bytes:
+            self.primary.flush_all()
+            for tree in unbucketed:
+                tree.flush()
+        self.primary.maintain()
+        for tree in unbucketed:
+            tree.maybe_merge()
 
     # --------------------------------------------------------------- sizing
 

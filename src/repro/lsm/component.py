@@ -238,6 +238,11 @@ class ReferenceDiskComponent(ReferenceCounted):
         # parent bucket cannot reclaim it from under us.
         target.retain()
         self._released_target = False
+        # The target and the prefix filter are both immutable, so the owned
+        # entries are fixed here, as a DiskComponent's are when it is built.
+        owned = self.entries()
+        self._entry_count = len(owned)
+        self._size_bytes = sum(e.size_bytes for e in owned)
 
     @property
     def target(self) -> DiskComponent:
@@ -247,7 +252,7 @@ class ReferenceDiskComponent(ReferenceCounted):
         return low_bits(hash_key(key), self.depth) == self.hash_prefix
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return self._entry_count
 
     @property
     def size_bytes(self) -> int:
@@ -257,7 +262,7 @@ class ReferenceDiskComponent(ReferenceCounted):
         at depth ``d-1`` owns about half the parent's bytes.  We return the
         exact filtered size, which is what the rebalance planner needs.
         """
-        return sum(e.size_bytes for e in self.entries())
+        return self._size_bytes
 
     @property
     def referenced_bytes(self) -> int:

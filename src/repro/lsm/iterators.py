@@ -3,22 +3,16 @@
 A range scan over an LSM-tree must reconcile entries with identical keys from
 multiple components, preferring entries from newer components, and must drop
 tombstones from the final result (Section II-B).  :func:`merge_scan` does this
-with a priority queue, exactly as the paper describes; it is reused by the
-bucketed LSM-tree's merge-sorted scan mode and by merges themselves.
+with a priority queue, exactly as the paper describes; merges reuse it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .component import _sort_key
 from .entry import Entry
-
-
-def _sort_key(key: Any) -> Tuple:
-    if isinstance(key, tuple):
-        return key
-    return (key,)
 
 
 def merge_scan(

@@ -135,11 +135,6 @@ class LSMTree:
         stats.bytes_written_memory += size
         return entry
 
-    @property
-    def memory_full(self) -> bool:
-        """True once the memory component exceeds its configured budget."""
-        return self.memory.size_bytes >= self.config.memory_component_bytes
-
     # ------------------------------------------------------------------ flush
 
     def flush(self) -> Optional[DiskComponent]:
@@ -171,12 +166,6 @@ class LSMTree:
         self._update_manifest()
         return component
 
-    def maybe_flush(self) -> Optional[DiskComponent]:
-        """Flush only if the memory component is over budget."""
-        if self.memory_full:
-            return self.flush()
-        return None
-
     # ------------------------------------------------------------------ merge
 
     def pause_merges(self) -> None:
@@ -194,7 +183,7 @@ class LSMTree:
         """Run one merge if the policy asks for it; return the new component."""
         if self._merges_paused:
             return None
-        sizes = [self._component_size(c) for c in self.disk_components]
+        sizes = [c.size_bytes for c in self.disk_components]
         candidate = select_components(self.merge_policy, sizes)
         if candidate is None:
             return None
@@ -246,10 +235,6 @@ class LSMTree:
         if isinstance(component, ReferenceDiskComponent):
             # A merge must read the whole referenced component to filter it.
             return component.referenced_bytes
-        return component.size_bytes
-
-    @staticmethod
-    def _component_size(component: AnyDiskComponent) -> int:
         return component.size_bytes
 
     # ------------------------------------------------------------------ read
@@ -382,13 +367,11 @@ class LSMTree:
     @property
     def size_bytes(self) -> int:
         """Estimated total size of the index (memory plus visible disk)."""
-        return self.memory.size_bytes + sum(
-            self._component_size(c) for c in self.disk_components
-        )
+        return self.memory.size_bytes + self.disk_size_bytes
 
     @property
     def disk_size_bytes(self) -> int:
-        return sum(self._component_size(c) for c in self.disk_components)
+        return sum(c.size_bytes for c in self.disk_components)
 
     @property
     def component_count(self) -> int:

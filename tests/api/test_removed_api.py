@@ -5,10 +5,14 @@
 this module pins down their removal — the attributes no longer exist, the
 canonical replacements cover the old behaviour, and none of the supported
 paths raise deprecation warnings anymore.  It also pins the second code paths
-folded away since: the driver's per-op loop and ``batch_ops`` knob, and the
-hand-built traffic/autopilot bench experiments.
+folded away since: the driver's per-op loop and ``batch_ops`` knob, the
+hand-built traffic/autopilot bench experiments, and the storage layer's
+second maintenance design (per-bucket flushes, the maintenance report object
+and the scan-mode dispatch).
 """
 
+import importlib
+import inspect
 import warnings
 
 import pytest
@@ -118,6 +122,55 @@ class TestSecondPathsRemoved:
             WorkloadSpec(batch_ops=True)
         with pytest.raises(ScenarioSpecError, match="batch_ops"):
             WorkloadSection.from_mapping({"batch_ops": True})
+
+
+
+class TestStorageMaintenanceSecondPathsRemoved:
+    """The partition's pass is the storage layer's only maintenance design.
+
+    ``StoragePartition.maintain`` flushes on the partition budget, so the
+    per-bucket flush could never fire; nothing read the report object; the
+    scan-mode enum only restated ``scan(ordered=)``.
+    """
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.bucketed", "MaintenanceReport"),
+            ("repro.bucketed.bucketed_lsm", "MaintenanceReport"),
+            ("repro.bucketed", "ScanMode"),
+            ("repro.bucketed", "choose_scan_mode"),
+            ("repro.bucketed", "scan_with_mode"),
+            ("repro.bucketed.scan", "ScanMode"),
+            ("repro.bucketed.scan", "choose_scan_mode"),
+            ("repro.bucketed.scan", "scan_with_mode"),
+        ],
+    )
+    def test_module_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.lsm.tree:LSMTree", "maybe_flush"),
+            ("repro.lsm.tree:LSMTree", "memory_full"),
+            ("repro.lsm.tree:LSMTree", "_component_size"),
+            ("repro.bucketed.bucket:Bucket", "maybe_flush"),
+            ("repro.bucketed.bucketed_lsm:BucketedLSMTree", "install_bucket"),
+        ],
+    )
+    def test_storage_methods_are_gone(self, owner, name):
+        module, _, cls = owner.partition(":")
+        assert not hasattr(getattr(importlib.import_module(module), cls), name)
+
+    def test_maintain_and_scan_signatures(self):
+        from repro.bucketed.bucketed_lsm import BucketedLSMTree
+        from repro.cluster.partition import StoragePartition
+
+        assert "force_flush" not in inspect.signature(BucketedLSMTree.maintain).parameters
+        assert "mode" not in inspect.signature(BucketedLSMTree.scan).parameters
+        assert inspect.signature(BucketedLSMTree.maintain).return_annotation in (None, "None")
+        assert inspect.signature(StoragePartition.maintain).return_annotation in (None, "None")
 
 
 class TestNoDeprecationWarnings:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import BucketingConfig, LSMConfig
 from repro.common.errors import BucketNotFoundError, StorageError
+from repro.bucketed.bucket import Bucket
 from repro.bucketed.bucketed_lsm import BucketedLSMTree
 from repro.hashing.bucket_id import ROOT_BUCKET, BucketId, covers_exactly
 from repro.lsm.entry import Entry
@@ -121,13 +122,6 @@ class TestScan:
 
 
 class TestMaintenanceAndSplits:
-    def test_maintain_flushes_over_budget_buckets(self):
-        tree = make_tree(memory_bytes=256)
-        for key in range(50):
-            tree.insert(key, "x" * 64)
-        report = tree.maintain()
-        assert report.flush_bytes > 0
-
     def test_dynamic_split_triggers_on_size(self):
         tree = make_tree(initial_depth=1, max_bucket_bytes=4096, memory_bytes=1024)
         for key in range(300):
@@ -196,7 +190,7 @@ class TestRebalanceOperations:
             1 for k in range(40) if bucket_id.contains_key(k)
         )
 
-    def test_install_bucket_from_entries(self):
+    def test_adopt_bucket_from_entries(self):
         source = make_tree(initial_depth=1, partition_id=0)
         for key in range(60):
             source.insert(key, f"v{key}")
@@ -209,17 +203,22 @@ class TestRebalanceOperations:
             initial_buckets=[moving.sibling()] if moving.depth else [ROOT_BUCKET],
             lsm_config=LSMConfig(memory_component_bytes=1 << 20),
         )
-        destination.install_bucket(moving, entries)
+        received = Bucket(moving, config=destination.lsm_config)
+        received.tree.add_loaded_component(entries)
+        destination.adopt_bucket(received)
         assert moving in destination.bucket_ids
+        assert destination.bucket(moving) is received
+        assert (moving.prefix, moving.depth) in destination.manifest.valid_bucket_ids()
         for entry in entries:
             assert destination.get(entry.key) == entry.value
 
-    def test_install_bucket_is_idempotent(self):
+    def test_adopt_bucket_is_idempotent(self):
         tree = make_tree(initial_depth=1)
         bucket_id = tree.bucket_ids[0]
         existing = tree.bucket(bucket_id)
-        again = tree.install_bucket(bucket_id, [])
-        assert again is existing
+        tree.adopt_bucket(Bucket(bucket_id))
+        assert tree.bucket(bucket_id) is existing
+        assert tree.bucket_count == 2
 
     def test_remove_bucket_is_idempotent_and_reclaims(self):
         tree = make_tree(initial_depth=1)

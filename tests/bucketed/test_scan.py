@@ -1,26 +1,11 @@
-"""Tests for the bucketed scan modes and the optimizer rule."""
+"""Tests for the bucketed scan modes and their cost estimate."""
 
-from repro.bucketed.scan import (
-    ScanMode,
-    choose_scan_mode,
-    estimate_merge_comparisons,
-    ordered_scan,
-    scan_with_mode,
-    unordered_scan,
-)
+from repro.bucketed.scan import estimate_merge_comparisons, ordered_scan, unordered_scan
 from repro.lsm.entry import Entry
 
 
 def stream(keys, seq_start=1):
     return [Entry(key=k, value=str(k), seqnum=seq_start + i) for i, k in enumerate(sorted(keys))]
-
-
-class TestOptimizerRule:
-    def test_default_is_unordered(self):
-        assert choose_scan_mode(requires_primary_key_order=False) is ScanMode.UNORDERED
-
-    def test_order_requirement_forces_merge_sort(self):
-        assert choose_scan_mode(requires_primary_key_order=True) is ScanMode.ORDERED
 
 
 class TestUnorderedScan:
@@ -58,12 +43,6 @@ class TestOrderedScan:
 
 
 class TestDispatchAndCost:
-    def test_scan_with_mode_dispatch(self):
-        buckets = [stream([3]), stream([1])]
-        assert [e.key for e in scan_with_mode(buckets, ScanMode.ORDERED)] == [1, 3]
-        buckets = [stream([3]), stream([1])]
-        assert [e.key for e in scan_with_mode(buckets, ScanMode.UNORDERED)] == [3, 1]
-
     def test_merge_comparisons_zero_for_single_bucket(self):
         assert estimate_merge_comparisons(1, 10_000) == 0
         assert estimate_merge_comparisons(4, 0) == 0

@@ -106,15 +106,18 @@ class TestMaintenance:
         partition = make_partition(memory_bytes=512)
         for key in range(50):
             partition.insert(order_row(key))
-        report = partition.maintain()
-        assert report.flush_bytes > 0
+        before = partition.stats_snapshot()
+        assert partition.maintain() is None
+        assert partition.stats_snapshot().diff(before).bytes_flushed > 0
         assert partition.memory_bytes < 512 or partition.memory_bytes == 0
 
     def test_force_flush(self):
         partition = make_partition()
         partition.insert(order_row(1))
-        report = partition.maintain(force_flush=True)
-        assert report.flush_bytes > 0
+        before = partition.stats_snapshot()
+        partition.maintain(force_flush=True)
+        assert partition.stats_snapshot().diff(before).bytes_flushed > 0
+        assert partition.memory_bytes == 0
 
     def test_splits_happen_through_maintain(self):
         partition = make_partition(memory_bytes=512, max_bucket_bytes=4096)

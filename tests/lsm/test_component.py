@@ -242,3 +242,18 @@ class TestReferenceDiskComponent:
         _, ref0, _ = self._split_pair(range(100))
         wrong_side = next(k for k in range(100) if low_bits(hash_key(k), 1) == 1)
         assert not ref0.may_contain(wrong_side)
+
+    def test_size_and_length_are_fixed_when_built(self, monkeypatch):
+        import repro.lsm.component as component_module
+
+        parent, ref0, ref1 = self._split_pair(range(100))
+        hashed = []
+        monkeypatch.setattr(component_module, "hash_key", hashed.append)
+        owned = [ref.size_bytes for ref in (ref0, ref1)]
+        counts = [len(ref) for ref in (ref0, ref1)]
+        assert hashed == []  # no re-filtering of the target
+        assert sum(owned) == parent.size_bytes
+        assert sum(counts) == len(parent)
+        monkeypatch.undo()
+        assert owned == [sum(e.size_bytes for e in ref.entries()) for ref in (ref0, ref1)]
+        assert counts == [len(ref.entries()) for ref in (ref0, ref1)]

@@ -92,20 +92,6 @@ class TestFlush:
         assert tree.flush() is None
         assert tree.component_count == 0
 
-    def test_maybe_flush_respects_budget(self):
-        tree = make_tree(memory_component_bytes=100_000)
-        tree.insert(1, "tiny")
-        assert tree.maybe_flush() is None
-        tree2 = make_tree(memory_component_bytes=64)
-        tree2.insert(1, "x" * 200)
-        assert tree2.maybe_flush() is not None
-
-    def test_memory_full_flag(self):
-        tree = make_tree(memory_component_bytes=64)
-        assert not tree.memory_full
-        tree.insert(1, "x" * 200)
-        assert tree.memory_full
-
     def test_newest_component_first(self):
         tree = make_tree()
         tree.insert(1, "old")
